@@ -22,6 +22,7 @@ from .bench import (
 from .kernels import InterpKernel, interpolate, kernel_from_id
 from .modular import ModuleCoeffs, classical_coeffs, comb_coeffs, max_modules, reconstruct
 from .optimizer import (
+    CoeffFileError,
     assemble_system,
     check_solution_matches,
     load_coeffs,
@@ -209,6 +210,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
+# Coefficient-file field -> the flag that sets it on the command line.
+_GRID_FLAGS = {"kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband"}
+
+
 def cmd_reconstruct(args) -> int:
     kernel = _kernel_for(args)
     _check_grid(args)
@@ -219,7 +224,10 @@ def cmd_reconstruct(args) -> int:
 
     if args.coeff_file is not None:
         solution = load_coeffs(args.coeff_file)
-        check_solution_matches(solution, kernel.id, args.period)
+        try:
+            check_solution_matches(solution, kernel.id, args.period, n=args.length, passband=k)
+        except CoeffFileError as exc:
+            raise CoeffFileError(f"{_GRID_FLAGS[exc.field]}: {exc}", exc.field) from exc
         coeffs = solution.coeffs
     elif args.method == "classical":
         coeffs = classical_coeffs(args.period, modules)

@@ -126,6 +126,20 @@ def kernel_from_id(kernel_id: str, period: int) -> InterpKernel:
     raise ValueError(f"unknown kernel id {kernel_id!r}")
 
 
+def interpolate_array(train: np.ndarray, kernel: InterpKernel) -> np.ndarray:
+    """`interpolate` of every sample train along the last axis of `train`."""
+    n = train.shape[-1]
+    if n % kernel.period:
+        raise ValueError(f"kernel period {kernel.period} does not divide length {n}")
+    if kernel.taps.size > n:
+        raise ValueError(f"kernel has {kernel.taps.size} taps but the signal only {n} samples")
+    out = np.zeros(train.shape)
+    for m, tap in enumerate(kernel.taps):
+        if tap != 0.0:
+            out += tap * np.roll(train, m - kernel.origin, axis=-1)
+    return out
+
+
 def interpolate(train: Signal, kernel: InterpKernel) -> Signal:
     """Circular convolution of a sample train with the kernel taps.
 
@@ -133,16 +147,7 @@ def interpolate(train: Signal, kernel: InterpKernel) -> Signal:
     makes interpolating kernels (sh, li) reproduce the train's values at the
     sample positions exactly.
     """
-    n = len(train)
-    if n % kernel.period:
-        raise ValueError(f"kernel period {kernel.period} does not divide length {n}")
-    if kernel.taps.size > n:
-        raise ValueError(f"kernel has {kernel.taps.size} taps but the signal only {n} samples")
-    out = np.zeros(n)
-    for m, tap in enumerate(kernel.taps):
-        if tap != 0.0:
-            out += tap * np.roll(train.samples, m - kernel.origin)
-    return Signal(out)
+    return Signal(interpolate_array(train.samples, kernel))
 
 
 def frequency_response(kernel: InterpKernel, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import InterpKernel, frequency_response
-from .signals import Passband, Signal, ideal_lowpass
+from .signals import Passband, Signal, lowpass_array
 
 __all__ = [
     "ModuleCoeffs",
@@ -85,6 +85,16 @@ def comb_coeffs(period: int) -> ModuleCoeffs:
     return ModuleCoeffs(period, c)
 
 
+def module_bank(coeffs: ModuleCoeffs) -> np.ndarray:
+    """One period of the module bank, 1 + sum_j 2 c_j cos(2 pi j t / period)."""
+    period = coeffs.period
+    t = np.arange(period)
+    one_period = np.ones(period)
+    for j, weight in enumerate(coeffs.c, start=1):
+        one_period += 2.0 * weight * np.cos(2.0 * np.pi * j * t / period)
+    return one_period
+
+
 def modulation_kernel(coeffs: ModuleCoeffs, n: int) -> Signal:
     """Periodic module bank m[t] = 1 + sum_j 2 c_j cos(2 pi j t / period).
 
@@ -94,17 +104,22 @@ def modulation_kernel(coeffs: ModuleCoeffs, n: int) -> Signal:
     period = coeffs.period
     if n % period:
         raise ValueError(f"module period {period} does not divide length {n}")
-    t = np.arange(period)
-    one_period = np.ones(period)
-    for j, weight in enumerate(coeffs.c, start=1):
-        one_period += 2.0 * weight * np.cos(2.0 * np.pi * j * t / period)
-    return Signal(np.tile(one_period, n // period))
+    return Signal(np.tile(module_bank(coeffs), n // period))
+
+
+def reconstruct_array(samples: np.ndarray, bank: np.ndarray, band: Passband) -> np.ndarray:
+    """`reconstruct` of every signal along the last axis of `samples`, given
+    one period of the module bank (`module_bank`)."""
+    n, period = samples.shape[-1], bank.size
+    if n % period:
+        raise ValueError(f"module period {period} does not divide length {n}")
+    periods = samples.reshape(samples.shape[:-1] + (n // period, period))
+    return lowpass_array((periods * bank).reshape(samples.shape), band)
 
 
 def reconstruct(s: Signal, coeffs: ModuleCoeffs, band: Passband) -> Signal:
     """Module-mix `s` and lowpass filter the product to `band`. Linear in s."""
-    mixed = Signal(s.samples * modulation_kernel(coeffs, len(s)).samples)
-    return ideal_lowpass(mixed, band)
+    return Signal(reconstruct_array(s.samples, module_bank(coeffs), band))
 
 
 def passband_gain(

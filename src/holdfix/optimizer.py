@@ -43,7 +43,15 @@ COEFF_SCHEMA = "holdfix-coeffs/1"
 
 
 class CoeffFileError(ValueError):
-    """Raised when a coefficient lookup file is unusable or mismatched."""
+    """Raised when a coefficient lookup file is unusable or mismatched.
+
+    `field` names the file field at fault (kernel_id, T, N, K, M,
+    coefficients, ...) when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,43 +206,77 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
 
 
 _REQUIRED_FIELDS = ("kernel_id", "T", "N", "K", "M", "coefficients", "residual")
+# Smallest valid value of each integer field.
+_INT_FIELDS = {"T": 1, "N": 1, "K": 0, "M": 0}
 
 
 def load_coeffs(path: str | Path) -> CoeffSolution:
-    """Read a coefficient lookup file written by `store_coeffs`."""
+    """Read a coefficient lookup file written by `store_coeffs`.
+
+    Every field is type-checked; a malformed file raises `CoeffFileError`
+    naming the field instead of a raw conversion error.
+    """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CoeffFileError(f"{path}: expected a JSON object, got {type(data).__name__}")
     schema = data.get("schema")
     if schema != COEFF_SCHEMA:
         raise CoeffFileError(
-            f"{path}: unsupported schema {schema!r}, expected {COEFF_SCHEMA!r}"
+            f"{path}: unsupported schema {schema!r}, expected {COEFF_SCHEMA!r}", "schema"
         )
     for field in _REQUIRED_FIELDS:
         if field not in data:
-            raise CoeffFileError(f"{path}: missing field {field!r}")
-    values = tuple(float(v) for v in data["coefficients"])
-    if int(data["M"]) != len(values):
+            raise CoeffFileError(f"{path}: missing field {field!r}", field)
+    # JSON numbers load as exactly int or float; type() also rejects bool.
+    if type(data["kernel_id"]) is not str:
+        raise CoeffFileError(f"{path}: field 'kernel_id' must be a string", "kernel_id")
+    for field, minimum in _INT_FIELDS.items():
+        value = data[field]
+        if type(value) is not int or value < minimum:
+            raise CoeffFileError(
+                f"{path}: field {field!r} must be an integer >= {minimum}, got {value!r}", field
+            )
+    values = data["coefficients"]
+    if type(values) is not list or not all(type(v) in (int, float) for v in values):
+        raise CoeffFileError(f"{path}: field 'coefficients' must be a list of numbers", "coefficients")
+    if type(data["residual"]) not in (int, float):
+        raise CoeffFileError(f"{path}: field 'residual' must be a number", "residual")
+    if data["M"] != len(values):
         raise CoeffFileError(
-            f"{path}: M = {data['M']} but {len(values)} coefficients present"
+            f"{path}: M = {data['M']} but {len(values)} coefficients present", "M"
         )
+    try:
+        coeffs = ModuleCoeffs(data["T"], values)
+    except ValueError as exc:
+        raise CoeffFileError(f"{path}: field 'coefficients': {exc}", "coefficients") from exc
     return CoeffSolution(
-        coeffs=ModuleCoeffs(int(data["T"]), values),
+        coeffs=coeffs,
         residual=float(data["residual"]),
-        kernel_id=str(data["kernel_id"]),
-        n=int(data["N"]),
-        passband=int(data["K"]),
+        kernel_id=data["kernel_id"],
+        n=data["N"],
+        passband=data["K"],
     )
 
 
 def check_solution_matches(
-    solution: CoeffSolution, kernel_id: str, period: int
+    solution: CoeffSolution,
+    kernel_id: str,
+    period: int,
+    *,
+    n: int | None = None,
+    passband: int | None = None,
 ) -> None:
-    """Refuse coefficients solved for a different kernel or hold period."""
-    if solution.kernel_id != kernel_id:
-        raise CoeffFileError(
-            f"coefficients were solved for kernel {solution.kernel_id!r}, not {kernel_id!r}"
-        )
-    if solution.coeffs.period != period:
-        raise CoeffFileError(
-            f"coefficients were solved for period {solution.coeffs.period}, not {period}"
-        )
+    """Refuse coefficients solved for a different kernel, hold period, signal
+    length N or passband half-width K. N and K are checked when given."""
+    expected = (
+        ("kernel_id", "kernel", solution.kernel_id, kernel_id),
+        ("T", "period", solution.coeffs.period, period),
+        ("N", "length N", solution.n, n),
+        ("K", "passband K", solution.passband, passband),
+    )
+    for field, label, solved, wanted in expected:
+        if wanted is not None and solved != wanted:
+            raise CoeffFileError(
+                f"coefficients were solved for {label} {solved!r}, not {wanted!r}", field
+            )

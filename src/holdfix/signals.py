@@ -6,7 +6,10 @@ the 1/N factor. A passband of half-width K keeps bins [0, K] and [N-K, N-1]
 and zeroes everything in between.
 
 All operations are pure and all values are immutable after construction, so
-they are safe to share between threads.
+they are safe to share between threads. The `*_array` functions are the
+array-level cores behind the `Signal` functions: they work along the last
+axis, so one call processes a stack of equal-length signals with exactly the
+arithmetic of one call per signal.
 """
 
 from __future__ import annotations
@@ -66,6 +69,15 @@ def _band_bins(n: int, band: Passband) -> int:
     return k
 
 
+def lowpass_array(samples: np.ndarray, band: Passband) -> np.ndarray:
+    """`ideal_lowpass` of every signal along the last axis of `samples`."""
+    n = samples.shape[-1]
+    k = _band_bins(n, band)
+    spectrum = np.fft.rfft(samples)
+    spectrum[..., k + 1 :] = 0.0
+    return np.fft.irfft(spectrum, n=n)
+
+
 def ideal_lowpass(x: Signal, band: Passband) -> Signal:
     """Zero every DFT bin outside the passband and transform back.
 
@@ -73,11 +85,7 @@ def ideal_lowpass(x: Signal, band: Passband) -> Signal:
     it twice equals applying it once, and an already band-limited signal
     passes through unchanged.
     """
-    n = len(x)
-    k = _band_bins(n, band)
-    spectrum = np.fft.rfft(x.samples)
-    spectrum[k + 1 :] = 0.0
-    return Signal(np.fft.irfft(spectrum, n=n))
+    return Signal(lowpass_array(x.samples, band))
 
 
 def gen_bandlimited(n: int, band: Passband, sigma: float, seed: int) -> Signal:
@@ -92,16 +100,21 @@ def gen_bandlimited(n: int, band: Passband, sigma: float, seed: int) -> Signal:
     return ideal_lowpass(raw, band)
 
 
-def sample_train(x: Signal, period: int) -> Signal:
-    """Keep every `period`-th sample and zero the rest; length is preserved."""
-    n = len(x)
+def sample_array(samples: np.ndarray, period: int) -> np.ndarray:
+    """`sample_train` of every signal along the last axis of `samples`."""
+    n = samples.shape[-1]
     if period < 1:
         raise ValueError("sampling period must be >= 1")
     if n % period:
         raise ValueError(f"sampling period {period} does not divide length {n}")
-    train = np.zeros(n)
-    train[::period] = x.samples[::period]
-    return Signal(train)
+    train = np.zeros(samples.shape)
+    train[..., ::period] = samples[..., ::period]
+    return train
+
+
+def sample_train(x: Signal, period: int) -> Signal:
+    """Keep every `period`-th sample and zero the rest; length is preserved."""
+    return Signal(sample_array(x.samples, period))
 
 
 def add_noise(x: Signal, target_snr_db: float, seed: int) -> Signal:
@@ -120,6 +133,35 @@ def add_noise(x: Signal, target_snr_db: float, seed: int) -> Signal:
     return Signal(x.samples + rng.normal(0.0, noise_std, len(x)))
 
 
+def snr_db_array(
+    reference: np.ndarray, estimate: np.ndarray, guard_fraction: float
+) -> np.ndarray:
+    """`snr_db` of every signal pair along the last axis of two equal-shape arrays."""
+    if reference.shape != estimate.shape:
+        raise ValueError(
+            f"length mismatch: reference {reference.shape} vs estimate {estimate.shape}"
+        )
+    if not 0.0 <= guard_fraction < 0.5:
+        raise ValueError("guard_fraction must lie in [0, 0.5)")
+    n = reference.shape[-1]
+    guard = int(guard_fraction * n + 1e-9)  # fp-safe floor
+    if n - 2 * guard <= 0:
+        raise ValueError(f"guard {guard} per end leaves no interior samples")
+    ref = reference[..., guard : n - guard]
+    err = ref - estimate[..., guard : n - guard]
+    out = np.empty(ref.shape[:-1])
+    for i in np.ndindex(out.shape):
+        err_power = float(np.dot(err[i], err[i]))
+        ref_power = float(np.dot(ref[i], ref[i]))
+        if err_power == 0.0:
+            out[i] = math.inf
+        elif ref_power == 0.0:
+            out[i] = -math.inf
+        else:
+            out[i] = 10.0 * math.log10(ref_power / err_power)
+    return out
+
+
 def snr_db(reference: Signal, estimate: Signal, guard_fraction: float) -> float:
     """SNR in dB over the interior window of the two signals.
 
@@ -127,22 +169,4 @@ def snr_db(reference: Signal, estimate: Signal, guard_fraction: float) -> float:
     ratio sum(ref^2) / sum((ref - est)^2) is formed. Returns +inf when the
     interior error is exactly zero.
     """
-    if len(reference) != len(estimate):
-        raise ValueError(
-            f"length mismatch: reference {len(reference)} vs estimate {len(estimate)}"
-        )
-    if not 0.0 <= guard_fraction < 0.5:
-        raise ValueError("guard_fraction must lie in [0, 0.5)")
-    n = len(reference)
-    guard = int(guard_fraction * n + 1e-9)  # fp-safe floor
-    if n - 2 * guard <= 0:
-        raise ValueError(f"guard {guard} per end leaves no interior samples")
-    ref = reference.samples[guard : n - guard]
-    err = ref - estimate.samples[guard : n - guard]
-    err_power = float(np.dot(err, err))
-    if err_power == 0.0:
-        return float("inf")
-    ref_power = float(np.dot(ref, ref))
-    if ref_power == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(ref_power / err_power)
+    return float(snr_db_array(reference.samples, estimate.samples, guard_fraction))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holdfix.bench import (
     CSV_HEADER,
+    METHODS,
     SNR_CLAMP_DB,
     SweepRow,
     SweepSpec,
@@ -11,7 +14,18 @@ from holdfix.bench import (
     run_trial,
     write_csv,
 )
-from holdfix.signals import Passband
+from holdfix.kernels import interpolate, kernel_from_id
+from holdfix.modular import classical_coeffs, comb_coeffs, reconstruct
+from holdfix.optimizer import assemble_system, solve_coefficients
+from holdfix.signals import (
+    Passband,
+    add_noise,
+    gen_bandlimited,
+    sample_train,
+    snr_db,
+)
+
+NOISE_SEED_OFFSET = 1 << 20  # documented: noise seed = trial seed + 2**20
 
 
 def small_spec(**overrides):
@@ -184,3 +198,95 @@ class TestWriteCsv:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError, match="sweep CSV"):
             write_csv([], tmp_path / "missing_dir" / "out.csv")
+
+
+def oracle_trial(spec, method, modules, input_snr_db, trial):
+    """One trial through the public pipeline, one call per stage."""
+    seed = spec.master_seed + trial
+    kernel = kernel_from_id(spec.kernel_id, spec.period)
+    if method == "classical":
+        coeffs = classical_coeffs(spec.period, modules)
+    elif method == "comb":
+        coeffs = comb_coeffs(spec.period)
+    else:
+        coeffs = solve_coefficients(
+            assemble_system(kernel, spec.n, modules, spec.k_sig)
+        ).coeffs
+    clean = gen_bandlimited(spec.n, spec.k_sig, 1.0, seed)
+    source = clean
+    if input_snr_db is not None:
+        source = add_noise(clean, input_snr_db, seed + NOISE_SEED_OFFSET)
+    held = interpolate(sample_train(source, spec.period), kernel)
+    restored = reconstruct(held, coeffs, spec.k_sig)
+    return snr_db(clean, restored, spec.guard_fraction)
+
+
+def oracle_row(spec, method, modules, input_snr_db):
+    snrs = np.array([
+        min(SNR_CLAMP_DB, oracle_trial(spec, method, modules, input_snr_db, i))
+        for i in range(spec.trials)
+    ])
+    return SweepRow(method, modules, input_snr_db, float(snrs.mean()),
+                    float(snrs.std()), spec.trials)
+
+
+@st.composite
+def sweep_cases(draw):
+    """SweepSpec fields other than trials; noise_snrs_db None means a module sweep."""
+    period = draw(st.sampled_from([2, 4, 8]))
+    n = period * draw(st.integers(4, 24))  # hold:2 has 3*period - 2 taps
+    cap = period // 2
+    noise = draw(st.none() | st.lists(st.floats(-10.0, 80.0), min_size=1, max_size=3))
+    if noise is None:
+        modules = draw(st.lists(st.integers(1, cap), min_size=1, max_size=cap, unique=True))
+    else:
+        modules = [draw(st.integers(1, cap))]
+    return dict(
+        kernel_id=draw(st.sampled_from(["sh", "li", "hold:2"])),
+        period=period,
+        n=n,
+        k_sig=Passband(draw(st.integers(0, n // (2 * period) - 1))),
+        methods=tuple(draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))),
+        modules=tuple(modules),
+        master_seed=draw(st.integers(0, 10**6)),
+        noise_snrs_db=None if noise is None else tuple(noise),
+    )
+
+
+_LI_ALL_METHODS = dict(kernel_id="li", period=8, n=128, k_sig=Passband(5),
+                       methods=METHODS, modules=(1, 4), master_seed=3,
+                       noise_snrs_db=None)
+
+
+class TestEngineMatchesPublicPipeline:
+    """Sweeps and run_trial equal, bit for bit, the per-trial public pipeline."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=sweep_cases(), trials=st.integers(1, 20))
+    @example(case=_LI_ALL_METHODS, trials=5)  # fewer trials than one chunk
+    @example(case=_LI_ALL_METHODS, trials=8)  # exactly one chunk
+    @example(case=dict(_LI_ALL_METHODS, modules=(3,), noise_snrs_db=(10.0, 30.0)),
+             trials=13)  # not a multiple of the chunk
+    def test_sweep_rows_and_trials(self, case, trials):
+        spec = SweepSpec(**case, trials=trials)
+        if spec.noise_snrs_db is None:
+            levels = [None]
+            rows = run_module_sweep(spec)
+        else:
+            levels = list(spec.noise_snrs_db)
+            rows = run_noise_sweep(spec)
+        expected = []
+        for method in sorted(set(spec.methods)):
+            # a module sweep lists comb once, at its implied count; a noise
+            # sweep labels every row with the requested count
+            counts = sorted(spec.modules)
+            if method == "comb" and spec.noise_snrs_db is None:
+                counts = [comb_coeffs(spec.period).modules]
+            expected += [oracle_row(spec, method, m, level) for m in counts for level in levels]
+        assert rows == expected
+
+        trial = trials - 1
+        for method, modules in [("classical", 0)] + [(r.method, r.modules) for r in rows]:
+            assert run_trial(spec, method, modules, levels[-1], trial) == oracle_trial(
+                spec, method, modules, levels[-1], trial
+            )

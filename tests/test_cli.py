@@ -89,6 +89,28 @@ class TestReconstruct:
         assert code == 1
         assert "kernel" in capsys.readouterr().err
 
+    def test_coeff_file_length_mismatch_fails(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--kernel", "sh", "--length", "256",
+                       "--method", "optimized", "--coeff-file", str(out))
+        assert code == 1
+        assert "--length" in capsys.readouterr().err
+
+    def test_coeff_file_null_coefficients_fails(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["coefficients"] = None
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--kernel", "sh", "--method", "optimized",
+                       "--coeff-file", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'coefficients'" in err and "NoneType" not in err
+
 
 class TestSweeps:
     def test_module_sweep_deterministic_bytes(self, tmp_path):

@@ -253,6 +253,49 @@ class TestCoeffStore:
         with pytest.raises(CoeffFileError):
             load_coeffs(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("coefficients", None),
+        ("coefficients", 0.5),
+        ("coefficients", ["0.5", 0.25]),
+        ("coefficients", [True, 0.25]),
+        ("coefficients", [float("nan"), 0.25]),
+        ("T", "4"),
+        ("T", 4.0),
+        ("T", 0),
+        ("N", None),
+        ("K", 7.5),
+        ("M", "2"),
+        ("kernel_id", 7),
+        ("residual", None),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "coeffs.json"
+        store_coeffs(self._solution(), path)
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(CoeffFileError, match=field) as info:
+            load_coeffs(path)
+        assert info.value.field == field
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(CoeffFileError, match="JSON object"):
+            load_coeffs(path)
+
+    def test_grid_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        store_coeffs(self._solution(), path)  # solved at N=64, K=7
+        loaded = load_coeffs(path)
+        with pytest.raises(CoeffFileError, match="length N 64, not 128") as info:
+            check_solution_matches(loaded, "sh", 4, n=128, passband=7)
+        assert info.value.field == "N"
+        with pytest.raises(CoeffFileError, match="passband K 7, not 5") as info:
+            check_solution_matches(loaded, "sh", 4, n=64, passband=5)
+        assert info.value.field == "K"
+        check_solution_matches(loaded, "sh", 4, n=64, passband=7)
+
     def test_kernel_and_period_mismatch_rejected(self, tmp_path):
         path = tmp_path / "coeffs.json"
         store_coeffs(self._solution(), path)
