@@ -15,8 +15,8 @@ then only mixes that array with its module bank, lowpass filters it and
 scores it. The array cores are the ones behind `sample_train`,
 `interpolate`, `reconstruct` and `snr_db`, so every value is bit-identical
 to running the trial alone; `run_trial` is the engine applied to one trial.
-The three headline CSVs take about 0.45 s (about 3.8 s when every row
-re-ran every trial) on one core of a 2-vCPU Intel Xeon host.
+The three headline CSVs take about 0.44 s (median of 35 runs, 0.33-0.58 s
+as the host's speed drifts) on one core of a 2-vCPU Intel Xeon host.
 
 Per-trial SNRs of +inf (exact recovery) are clamped to SNR_CLAMP_DB before
 averaging; finite values above the clamp are clamped too, so no output ever

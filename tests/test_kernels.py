@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,12 +11,13 @@ from holdfix.kernels import (
     custom_kernel,
     frequency_response,
     interpolate,
+    interpolate_array,
     kernel_from_id,
     li_kernel,
     nth_order_hold,
     sh_kernel,
 )
-from holdfix.signals import Passband, Signal, gen_bandlimited, sample_train
+from holdfix.signals import Passband, Signal, gen_bandlimited, sample_array, sample_train
 
 
 def dft_naive(x):
@@ -22,6 +25,124 @@ def dft_naive(x):
     n = len(x)
     k = np.arange(n)
     return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
+
+
+def roll_oracle(train, kernel):
+    """Tap-by-tap circular convolution: one full-length np.roll per nonzero tap."""
+    out = np.zeros(train.shape)
+    for m, tap in enumerate(kernel.taps):
+        if tap != 0.0:
+            out += tap * np.roll(train, m - kernel.origin, axis=-1)
+    return out
+
+
+def scaled_kernel(raw, origin, period):
+    """InterpKernel with the zero pattern and signs of `raw`, scaled to sum `period`."""
+    raw = np.asarray(raw, dtype=float)
+    return InterpKernel(raw * (period / raw.sum()), origin, period, "custom:test")
+
+
+@st.composite
+def kernels(draw, period):
+    """Built-in kernels, or custom taps with zeros, negatives and any origin."""
+    builtin = draw(st.sampled_from(["sh", "li", "hold:0", "hold:1", "hold:2", "hold:3", None]))
+    if builtin is not None:
+        return kernel_from_id(builtin, period)
+    size = draw(st.integers(1, 3 * period + 1))
+    tap = st.sampled_from([0.0, -1.0]) | st.floats(-2, 2, allow_subnormal=False)
+    raw = np.array(draw(st.lists(tap, min_size=size, max_size=size)))
+    if abs(raw.sum()) < 0.25:
+        raw[draw(st.integers(0, size - 1))] += 1.0
+    origin = draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
+    return scaled_kernel(raw, origin, period)
+
+
+@st.composite
+def interpolate_cases(draw):
+    """(kernel, signals, phase per row): N = blocks * T >= taps, 1-D or (rows, N)."""
+    period = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32]))
+    kernel = draw(kernels(period))
+    blocks = max(draw(st.integers(1, 6)), -(-kernel.taps.size // period))
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    shape = (blocks * period,) if rows is None else (rows, blocks * period)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    phases = draw(st.lists(st.integers(0, period - 1), min_size=rows or 1, max_size=rows or 1))
+    return kernel, x, phases
+
+
+class TestPolyphaseMatchesOracle:
+    """interpolate_array equals the tap-by-tap np.roll loop."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=interpolate_cases())
+    @example(case=(li_kernel(32), np.arange(1.0, 193.0).reshape(3, 64), [0, 5, 31]))
+    def test_trains_bit_identical(self, case):
+        kernel, x, phases = case
+        train = sample_array(x, kernel.period)
+        assert np.array_equal(interpolate_array(train, kernel), roll_oracle(train, kernel))
+        # each row's train moved to its own phase: one live phase per row,
+        # several across the batch
+        rows = train.reshape(len(phases), -1)
+        moved = np.stack([np.roll(row, p) for row, p in zip(rows, phases)]).reshape(x.shape)
+        assert np.array_equal(interpolate_array(moved, kernel), roll_oracle(moved, kernel))
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=interpolate_cases())
+    def test_full_phase_inputs_agree_to_rounding(self, case):
+        # all phases live: the same sum in another order, so a tolerance set
+        # from float64 rounding (at most ~100 terms), not bit equality
+        kernel, x, _ = case
+        out = interpolate_array(x, kernel)
+        expected = roll_oracle(x, kernel)
+        scale = np.abs(kernel.taps).sum() * np.abs(x).max(initial=0.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 4, 8, 16, 32])
+    @pytest.mark.parametrize(
+        "raw, origin",
+        [
+            ([0.0, 2.0, -1.0, 0.0, 3.0], 0),  # zero first and last taps, origin first
+            ([0.0, 2.0, -1.0, 0.0, 3.0], 4),  # origin on the last (zero) tap
+            ([1.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 2.0], 4),  # run of zeros past T
+        ],
+    )
+    def test_custom_kernels_on_trains(self, period, raw, origin):
+        kernel = scaled_kernel(raw, origin, period)
+        n = period * max(4, -(-len(raw) // period))
+        train = sample_array(np.random.default_rng(period).standard_normal((2, n)), period)
+        assert np.array_equal(interpolate_array(train, kernel), roll_oracle(train, kernel))
+        assert np.array_equal(interpolate_array(train[0], kernel), roll_oracle(train[0], kernel))
+
+
+class TestPolyphaseEdges:
+    def test_kernel_as_long_as_signal(self):
+        # taps.size == N: the kernel wraps all the way round the circle
+        rng = np.random.default_rng(5)
+        for period, n, origin in [(4, 8, 3), (4, 8, 0), (4, 8, 7), (3, 12, 6), (1, 5, 2)]:
+            kernel = scaled_kernel(rng.uniform(0.1, 1.0, n), origin, period)
+            train = sample_array(rng.standard_normal((2, n)), period)
+            assert np.array_equal(interpolate_array(train, kernel), roll_oracle(train, kernel))
+            x = rng.standard_normal(n)
+            np.testing.assert_allclose(interpolate_array(x, kernel), roll_oracle(x, kernel),
+                                       rtol=1e-12, atol=1e-12 * np.abs(x).sum())
+
+    @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:2"])
+    def test_period_one_every_phase_live(self, kernel_id):
+        # T=1 has a single phase, so even a dense input is bit-identical
+        kernel = kernel_from_id(kernel_id, 1)
+        x = np.random.default_rng(1).standard_normal((3, 16))
+        assert np.array_equal(interpolate_array(x, kernel), roll_oracle(x, kernel))
+        assert np.array_equal(interpolate(Signal(x[0]), kernel).samples, roll_oracle(x[0], kernel))
+
+    @pytest.mark.parametrize("zero_phase", [0, 1])
+    @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:2", "hold:3"])
+    def test_one_exactly_zero_phase(self, kernel_id, zero_phase):
+        kernel = kernel_from_id(kernel_id, 2)
+        x = np.random.default_rng(2).standard_normal((2, 32))
+        x[..., zero_phase::2] = 0.0
+        assert np.array_equal(interpolate_array(x, kernel), roll_oracle(x, kernel))
 
 
 class TestKernelType:
@@ -144,12 +265,18 @@ class TestInterpolate:
         np.testing.assert_allclose(out.samples, x.samples)
 
     def test_divisibility(self):
-        with pytest.raises(ValueError):
+        message = re.escape("kernel period 4 does not divide length 10")
+        with pytest.raises(ValueError, match=message):
             interpolate(Signal(np.ones(10)), sh_kernel(4))
+        with pytest.raises(ValueError, match=message):
+            interpolate_array(np.ones((3, 10)), sh_kernel(4))
 
     def test_taps_longer_than_signal(self):
-        with pytest.raises(ValueError):
+        message = re.escape("kernel has 7 taps but the signal only 4 samples")
+        with pytest.raises(ValueError, match=message):
             interpolate(Signal(np.ones(4)), li_kernel(4))
+        with pytest.raises(ValueError, match=message):
+            interpolate_array(np.ones((3, 4)), li_kernel(4))
 
     @settings(deadline=None, max_examples=30)
     @given(
