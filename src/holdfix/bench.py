@@ -8,15 +8,18 @@ Optimized weights are solved once per (kernel, period, length, modules,
 passband) and cached, lookup-table style.
 
 Sweeps reuse each trial's signals across rows. Trials run in chunks of
-_TRIAL_CHUNK (8): per chunk every clean signal is generated once, and per
-input level (clean or one noise SNR) the chunk is sampled and interpolated
-once into a (chunk, N) array of held signals. Each (method, modules) row
-then only mixes that array with its module bank, lowpass filters it and
-scores it. The array cores are the ones behind `sample_train`,
-`interpolate`, `reconstruct` and `snr_db`, so every value is bit-identical
-to running the trial alone; `run_trial` is the engine applied to one trial.
-The three headline CSVs take about 0.44 s (median of 35 runs, 0.33-0.58 s
-as the host's speed drifts) on one core of a 2-vCPU Intel Xeon host.
+_TRIAL_CHUNK (8). Per chunk, one batched call generates all clean signals;
+a noise sweep also draws each trial's standard-normal noise and computes its
+signal power once, and every noise level only rescales that draw. Per input
+level (clean or one noise SNR) the chunk is sampled and interpolated once
+into a (chunk, N) array of held signals. Each (method, modules) row then
+only mixes that array with its module bank, lowpass filters it and scores
+all its trials in one `snr_db_array` call. The array cores are the ones
+behind `gen_bandlimited`, `add_noise`, `sample_train`, `interpolate`,
+`reconstruct` and `snr_db`, so every value is bit-identical to running the
+trial alone; `run_trial` is the engine applied to one trial. The three
+headline CSVs take about 0.35 s (median build of ten benchmark runs,
+quartiles 0.34-0.35 s) on one core of a 2-vCPU Intel Xeon host.
 
 Per-trial SNRs of +inf (exact recovery) are clamped to SNR_CLAMP_DB before
 averaging; finite values above the clamp are clamped too, so no output ever
@@ -40,7 +43,14 @@ from .modular import (
     reconstruct_array,
 )
 from .optimizer import assemble_system, solve_coefficients
-from .signals import Passband, add_noise, gen_bandlimited, sample_array, snr_db_array
+from .signals import (
+    Passband,
+    bandlimited_array,
+    noise_array,
+    normal_array,
+    sample_array,
+    snr_db_array,
+)
 
 __all__ = [
     "METHODS",
@@ -101,6 +111,8 @@ class SweepSpec:
                 )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         nyquist_bin = self.n // (2 * self.period)
         if self.k_sig.half_width_bins > nyquist_bin - 1:
             raise ValueError(
@@ -157,19 +169,19 @@ def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
     cells_at_level: dict[float | None, list[int]] = {}
     for index, (_, _, level) in enumerate(cells):
         cells_at_level.setdefault(level, []).append(index)
+    noisy = any(level is not None for level in cells_at_level)
     out = np.empty((len(cells), len(trials)))
     for start in range(0, len(trials), _TRIAL_CHUNK):
         columns = slice(start, start + _TRIAL_CHUNK)
         seeds = [spec.master_seed + trial for trial in trials[columns]]
-        clean = [gen_bandlimited(spec.n, spec.k_sig, 1.0, seed) for seed in seeds]
-        reference = np.stack([x.samples for x in clean])
+        reference = bandlimited_array(spec.n, spec.k_sig, 1.0, seeds)
+        if noisy:
+            power = np.mean(reference**2, axis=-1)
+            draw = normal_array(spec.n, [seed + _NOISE_SEED_OFFSET for seed in seeds])
         for level, members in cells_at_level.items():
             source = reference
             if level is not None:
-                source = np.stack([
-                    add_noise(x, level, seed + _NOISE_SEED_OFFSET).samples
-                    for x, seed in zip(clean, seeds)
-                ])
+                source = noise_array(reference, power, draw, level)
             held = interpolate_array(sample_array(source, spec.period), kernel)
             for index in members:
                 restored = reconstruct_array(held, banks[index], spec.k_sig)

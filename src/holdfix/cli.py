@@ -29,7 +29,7 @@ from .optimizer import (
     solve_coefficients,
     store_coeffs,
 )
-from .signals import Passband, gen_bandlimited, sample_train, snr_db
+from .signals import Passband, gen_bandlimited, noise_power_ratio, sample_train, snr_db
 
 __all__ = ["main"]
 
@@ -182,12 +182,22 @@ def _parse_snrs(text: str) -> tuple[float, ...]:
         raise UsageError(f"--snrs: cannot parse {text!r} as comma-separated dB values") from None
     if not snrs:
         raise UsageError("--snrs: empty list")
+    for snr in snrs:
+        try:
+            noise_power_ratio(snr)
+        except ValueError as exc:
+            raise UsageError(f"--snrs: {exc}") from None
     return snrs
 
 
 def _check_guard(guard: float) -> None:
     if not 0.0 <= guard < 0.5:
         raise UsageError(f"--guard must lie in [0, 0.5), got {guard}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def cmd_solve(args) -> int:
@@ -219,6 +229,7 @@ def cmd_reconstruct(args) -> int:
     _check_grid(args)
     k = _default_passband(args)
     _check_guard(args.guard)
+    _check_seed(args.seed)
     modules = args.modules if args.modules is not None else max_modules(args.period)
     _check_cap(modules, args.period)
 
@@ -249,6 +260,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def _sweep_spec(args, modules: tuple[int, ...], snrs: tuple[float, ...] | None) -> SweepSpec:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    _check_seed(args.seed)
     try:
         return SweepSpec(
             kernel_id=args.kernel,

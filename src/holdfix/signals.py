@@ -88,16 +88,24 @@ def ideal_lowpass(x: Signal, band: Passband) -> Signal:
     return Signal(lowpass_array(x.samples, band))
 
 
+def normal_array(n: int, seeds, sigma: float = 1.0) -> np.ndarray:
+    """`default_rng(seed).normal(0.0, sigma, n)` for each of `seeds`, one row per seed."""
+    return np.stack([np.random.default_rng(seed).normal(0.0, sigma, n) for seed in seeds])
+
+
+def bandlimited_array(n: int, band: Passband, sigma: float, seeds) -> np.ndarray:
+    """`gen_bandlimited` at each of `seeds`, one row per seed."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return lowpass_array(normal_array(n, seeds, sigma), band)
+
+
 def gen_bandlimited(n: int, band: Passband, sigma: float, seed: int) -> Signal:
     """White Gaussian noise of std `sigma`, ideally lowpass filtered to `band`.
 
     Deterministic per seed; power is not renormalized after filtering.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(seed)
-    raw = Signal(rng.normal(0.0, sigma, n))
-    return ideal_lowpass(raw, band)
+    return Signal(bandlimited_array(n, band, sigma, [seed])[0])
 
 
 def sample_array(samples: np.ndarray, period: int) -> np.ndarray:
@@ -117,20 +125,49 @@ def sample_train(x: Signal, period: int) -> Signal:
     return Signal(sample_array(x.samples, period))
 
 
+def noise_power_ratio(target_snr_db: float) -> float:
+    """Noise-to-signal power ratio 10^(-SNR/10) of a target SNR in dB."""
+    if not math.isfinite(target_snr_db):
+        raise ValueError(f"target SNR {target_snr_db} dB is not finite")
+    try:
+        return 10.0 ** (-target_snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"target SNR {target_snr_db} dB needs a noise power beyond float range"
+        ) from None
+
+
+def noise_array(
+    samples: np.ndarray, power: np.ndarray, draw: np.ndarray, target_snr_db: float
+) -> np.ndarray:
+    """`add_noise` of every signal along the last axis of `samples`.
+
+    `power` is each signal's mean square, `np.mean(samples**2, axis=-1)`, and
+    `draw` holds standard-normal draws (`normal_array`), shaped like
+    `samples`. Neither depends on the SNR, so a caller adding noise at several
+    SNRs computes both once.
+    """
+    ratio = noise_power_ratio(target_snr_db)
+    if np.any(power == 0.0):
+        raise ValueError("cannot scale noise against a zero-power signal")
+    with np.errstate(over="ignore"):
+        noise_std = np.sqrt(power * ratio)
+    if not np.all(np.isfinite(noise_std)):
+        raise ValueError(
+            f"noise std at target SNR {target_snr_db} dB is beyond float range"
+        )
+    return samples + noise_std[..., None] * draw
+
+
 def add_noise(x: Signal, target_snr_db: float, seed: int) -> Signal:
     """Add white Gaussian noise scaled for the requested SNR against x's power.
 
     The noise is full band: it models input-side disturbances injected before
     any sampling. Deterministic per seed.
     """
-    if not math.isfinite(target_snr_db):
-        raise ValueError("target SNR must be finite")
-    power = float(np.mean(x.samples**2))
-    if power == 0.0:
-        raise ValueError("cannot scale noise against a zero-power signal")
-    noise_std = math.sqrt(power * 10.0 ** (-target_snr_db / 10.0))
-    rng = np.random.default_rng(seed)
-    return Signal(x.samples + rng.normal(0.0, noise_std, len(x)))
+    power = np.mean(x.samples**2, axis=-1)
+    draw = normal_array(len(x), [seed])[0]
+    return Signal(noise_array(x.samples, power, draw, target_snr_db))
 
 
 def snr_db_array(
@@ -149,17 +186,17 @@ def snr_db_array(
         raise ValueError(f"guard {guard} per end leaves no interior samples")
     ref = reference[..., guard : n - guard]
     err = ref - estimate[..., guard : n - guard]
-    out = np.empty(ref.shape[:-1])
-    for i in np.ndindex(out.shape):
-        err_power = float(np.dot(err[i], err[i]))
-        ref_power = float(np.dot(ref[i], ref[i]))
-        if err_power == 0.0:
-            out[i] = math.inf
-        elif ref_power == 0.0:
-            out[i] = -math.inf
-        else:
-            out[i] = 10.0 * math.log10(ref_power / err_power)
-    return out
+    # (..., 1, n) @ (..., n, 1) gives each row's np.dot(row, row), bit for bit
+    err_powers = (err[..., None, :] @ err[..., :, None]).ravel().tolist()
+    ref_powers = (ref[..., None, :] @ ref[..., :, None]).ravel().tolist()
+    # math.log10, not np.log10: the two differ in the last bit on some hosts
+    out = [
+        math.inf if err_power == 0.0
+        else -math.inf if ref_power == 0.0
+        else 10.0 * math.log10(ref_power / err_power)
+        for err_power, ref_power in zip(err_powers, ref_powers)
+    ]
+    return np.array(out).reshape(ref.shape[:-1])
 
 
 def snr_db(reference: Signal, estimate: Signal, guard_fraction: float) -> float:

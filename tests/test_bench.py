@@ -60,6 +60,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(trials=0)
 
+    def test_master_seed_non_negative(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            small_spec(master_seed=-1)
+
     def test_signal_band_stays_inside_sampling_nyquist(self):
         with pytest.raises(ValueError):
             small_spec(k_sig=Passband(32))

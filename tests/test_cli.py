@@ -161,6 +161,47 @@ class TestSweeps:
         assert code == 2
         assert "--snrs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snrs", ["-4000", "nan", "inf", "0,-inf"])
+    def test_nonfinite_or_overflowing_snrs_exit_2(self, snrs, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code = run_cli("sweep-noise", "--kernel", "sh", "--period", "4",
+                       "--length", "256", "--modules", "2", f"--snrs={snrs}",
+                       "--trials", "2", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--snrs" in err and "out of range" not in err
+        assert not out.exists()
+
+    def test_large_positive_snr_still_runs(self, tmp_path):
+        # 10^(-SNR/10) underflows to zero noise, which is a valid clean input
+        out = tmp_path / "n.csv"
+        code = run_cli("sweep-noise", "--kernel", "sh", "--period", "4",
+                       "--length", "256", "--modules", "2", "--snrs=4000",
+                       "--trials", "2", "--out", str(out))
+        assert code == 0
+
+    @pytest.mark.parametrize("command", [
+        ["reconstruct", "--method", "comb"],
+        ["sweep-modules", "--modules", "1..2"],
+        ["sweep-noise", "--modules", "2"],
+    ])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = [] if command[0] == "reconstruct" else ["--out", str(tmp_path / "s.csv")]
+        code = run_cli(*command, "--kernel", "sh", "--period", "4", "--length", "256",
+                       "--seed", "-1", *out)
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-modules", "--modules", "1..2"],
+        ["sweep-noise", "--modules", "2"],
+    ])
+    def test_zero_trials_exits_2(self, command, tmp_path, capsys):
+        code = run_cli(*command, "--kernel", "sh", "--period", "4", "--length", "256",
+                       "--trials", "0", "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+
 
 class TestShowKernel:
     def test_prints_taps_and_origin(self, capsys):

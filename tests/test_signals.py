@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,15 @@ from holdfix.signals import (
     Passband,
     Signal,
     add_noise,
+    bandlimited_array,
     gen_bandlimited,
     ideal_lowpass,
+    noise_array,
+    noise_power_ratio,
+    normal_array,
     sample_train,
     snr_db,
+    snr_db_array,
 )
 
 
@@ -128,6 +135,20 @@ class TestGenBandlimited:
         with pytest.raises(ValueError):
             gen_bandlimited(16, Passband(3), -1.0, 1)
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from([2, 8, 64, 2048]),
+        frac=st.floats(0.0, 1.0),
+        sigma=st.floats(0.01, 100.0),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=9),
+    )
+    def test_batched_rows_equal_single_calls(self, n, frac, sigma, seeds):
+        band = Passband(int(frac * (n // 2)))
+        stack = bandlimited_array(n, band, sigma, seeds)
+        assert stack.shape == (len(seeds), n)
+        for row, seed in zip(stack, seeds):
+            assert np.array_equal(row, gen_bandlimited(n, band, sigma, seed).samples)
+
 
 class TestSampleTrain:
     @pytest.mark.parametrize(
@@ -188,6 +209,37 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(x, float("inf"), 0)
 
+    @pytest.mark.parametrize("target", [-4000.0, float("nan"), float("-inf")])
+    def test_unrepresentable_noise_raises_value_error(self, target):
+        x = Signal(np.ones(8))
+        with pytest.raises(ValueError, match="SNR"):
+            add_noise(x, target, 0)
+        with pytest.raises(ValueError, match="SNR"):
+            noise_array(x.samples, np.mean(x.samples**2), normal_array(8, [0])[0], target)
+
+    def test_noise_std_overflow_raises_value_error(self):
+        # the power ratio itself is finite; times the signal's power it is not
+        x = Signal(np.full(8, 1e100))
+        assert np.isfinite(noise_power_ratio(-3000.0))
+        with pytest.raises(ValueError, match="beyond float range"):
+            add_noise(x, -3000.0, 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from([2, 8, 64, 2048]),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+        target=st.floats(-20.0, 120.0),
+        noise_seed=st.integers(0, 2**32),
+    )
+    def test_shared_draw_rows_equal_add_noise(self, n, seeds, target, noise_seed):
+        # one draw row per trial, reused at every SNR, as the sweep engine does;
+        # == treats -0.0 and 0.0 alike (0.0 + s*z against s*z)
+        clean = bandlimited_array(n, Passband(n // 4), 1.0, seeds)
+        noise_seeds = [noise_seed + i for i in range(len(seeds))]
+        noisy = noise_array(clean, np.mean(clean**2, axis=-1), normal_array(n, noise_seeds), target)
+        for row, x, seed in zip(noisy, clean, noise_seeds):
+            assert np.array_equal(row, add_noise(Signal(x), target, seed).samples)
+
 
 class TestSnrDb:
     def test_identical_gives_inf(self):
@@ -215,6 +267,31 @@ class TestSnrDb:
             snr_db(x, x, 0.5)
         with pytest.raises(ValueError):
             snr_db(x, x, -0.01)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from([4, 7, 40, 1024]),
+        guard=st.sampled_from([0.0, 0.1, 0.25]),
+        seed=st.integers(0, 2**32),
+        scale=st.floats(1e-6, 1.0),
+    )
+    def test_stack_equals_per_row(self, n, guard, seed, scale):
+        rng = np.random.default_rng(seed)
+        reference = rng.normal(size=(3, 2, n))
+        estimate = reference + scale * rng.normal(size=(3, 2, n))
+        estimate[0, 1] = reference[0, 1]  # exact recovery: +inf
+        reference[2, 0] = 0.0  # zero reference: -inf
+        stack = snr_db_array(reference, estimate, guard)
+        assert stack.shape == (3, 2)
+        assert stack[0, 1] == float("inf") and stack[2, 0] == -float("inf")
+        g = int(guard * n + 1e-9)
+        for i, j in np.ndindex(3, 2):
+            row = snr_db(Signal(reference[i, j]), Signal(estimate[i, j]), guard)
+            assert stack[i, j] == row
+            ref = reference[i, j, g : n - g]
+            err = ref - estimate[i, j, g : n - g]
+            if (i, j) not in [(0, 1), (2, 0)]:  # per-pair np.dot form, bit for bit
+                assert row == 10.0 * math.log10(np.dot(ref, ref) / np.dot(err, err))
 
     def test_decreasing_in_perturbation_amplitude(self):
         rng = np.random.default_rng(6)
