@@ -38,14 +38,15 @@ from .modular import (
     ModuleCoeffs,
     classical_coeffs,
     comb_coeffs,
-    max_modules,
     module_bank,
     reconstruct_array,
 )
 from .optimizer import assemble_system, solve_coefficients
 from .signals import (
+    FieldError,
     Passband,
     bandlimited_array,
+    check_grid,
     noise_array,
     normal_array,
     sample_array,
@@ -58,6 +59,7 @@ __all__ = [
     "CSV_HEADER",
     "SweepSpec",
     "SweepRow",
+    "method_coeffs",
     "run_trial",
     "run_module_sweep",
     "run_noise_sweep",
@@ -76,7 +78,11 @@ _TRIAL_CHUNK = 8
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of one benchmark sweep."""
+    """Declarative description of one benchmark sweep.
+
+    An invalid spec raises `FieldError` naming the field at fault (grid
+    fields as N, T, K, M; the others by their attribute name).
+    """
 
     kernel_id: str
     period: int
@@ -96,31 +102,25 @@ class SweepSpec:
             object.__setattr__(
                 self, "noise_snrs_db", tuple(float(s) for s in self.noise_snrs_db)
             )
-        if self.period < 1 or self.n % self.period:
-            raise ValueError(f"period {self.period} must divide signal length {self.n}")
+        check_grid(self.n, self.period, guard_fraction=self.guard_fraction)
         if not self.methods:
-            raise ValueError("at least one method is required")
+            raise FieldError("at least one method is required", "methods")
         unknown = sorted(set(self.methods) - set(METHODS))
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
-        cap = max_modules(self.period)
+            raise FieldError(f"unknown methods {unknown}; choose from {list(METHODS)}", "methods")
         for m in self.modules:
-            if not 1 <= m <= cap:
-                raise ValueError(
-                    f"{m} modules outside 1..{cap} (the maximum for period {self.period})"
-                )
+            check_grid(period=self.period, modules=m, fewest_modules=1)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise FieldError(f"trials must be >= 1, got {self.trials}", "trials")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+            raise FieldError(f"master_seed must be >= 0, got {self.master_seed}", "master_seed")
         nyquist_bin = self.n // (2 * self.period)
         if self.k_sig.half_width_bins > nyquist_bin - 1:
-            raise ValueError(
+            raise FieldError(
                 f"signal passband {self.k_sig.half_width_bins} must stay below "
-                f"the sampling Nyquist bin {nyquist_bin}"
+                f"the sampling Nyquist bin {nyquist_bin}",
+                "K",
             )
-        if not 0.0 <= self.guard_fraction < 0.5:
-            raise ValueError("guard_fraction must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,21 @@ def _optimized_coeffs(
     return solve_coefficients(system).coeffs
 
 
-def _method_coeffs(spec: SweepSpec, method: str, modules: int) -> ModuleCoeffs:
-    if method == "classical":
-        return classical_coeffs(spec.period, modules)
+def method_coeffs(
+    method: str, kernel_id: str, period: int, n: int, modules: int, passband: int
+) -> ModuleCoeffs:
+    """Weights of `method` (classical, comb or optimized) for `modules` modules.
+
+    Comb weights have a fixed count and ignore `modules`. With zero modules
+    there is nothing to weight or solve, so classical and optimized both
+    give the empty set.
+    """
     if method == "comb":
-        return comb_coeffs(spec.period)
+        return comb_coeffs(period)
+    if method == "classical" or modules == 0:
+        return classical_coeffs(period, modules)
     if method == "optimized":
-        if modules == 0:
-            return ModuleCoeffs(spec.period, ())
-        return _optimized_coeffs(
-            spec.kernel_id, spec.period, spec.n, modules, spec.k_sig.half_width_bins
-        )
+        return _optimized_coeffs(kernel_id, period, n, modules, passband)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -165,7 +169,11 @@ _Cell = tuple[str, int, float | None]
 def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
     """Raw output SNRs in dB (maybe +inf), shape (len(cells), len(trials))."""
     kernel = kernel_from_id(spec.kernel_id, spec.period)
-    banks = [module_bank(_method_coeffs(spec, method, modules)) for method, modules, _ in cells]
+    banks = [
+        module_bank(method_coeffs(method, spec.kernel_id, spec.period, spec.n, modules,
+                                  spec.k_sig.half_width_bins))
+        for method, modules, _ in cells
+    ]
     cells_at_level: dict[float | None, list[int]] = {}
     for index, (_, _, level) in enumerate(cells):
         cells_at_level.setdefault(level, []).append(index)
@@ -246,9 +254,9 @@ def run_noise_sweep(spec: SweepSpec) -> list[SweepRow]:
     grouped by method (alphabetical) and follow the requested SNR order.
     """
     if not spec.noise_snrs_db:
-        raise ValueError("noise sweep needs a non-empty noise_snrs_db list")
+        raise FieldError("noise sweep needs a non-empty noise_snrs_db list", "snr")
     if len(set(spec.modules)) != 1:
-        raise ValueError("noise sweep uses exactly one module count")
+        raise FieldError("noise sweep uses exactly one module count", "M")
     modules = spec.modules[0]
     cells = [
         (method, modules, input_snr)

@@ -1,9 +1,12 @@
 """Command-line front end: weight solving, reconstruction demos and sweeps.
 
 Exit codes: 0 on success, 2 on flag or validation errors, 1 on runtime
-errors. Flag defaults mirror the benchmark defaults (length 2048, period 16,
-trials 100, guard 0.10, passband length/(2*period) - 1), so a bare
-`holdfix sweep-modules --kernel sh` runs the headline module-count
+errors and on a coefficient file that does not fit the flags. The library
+validates its inputs and raises `FieldError` naming the field at fault;
+`main` maps each field to its flag in one table, so every such message
+names the flag. Flag defaults mirror the benchmark defaults (length 2048,
+period 16, trials 100, guard 0.10, passband length/(2*period) - 1), so a
+bare `holdfix sweep-modules --kernel sh` runs the headline module-count
 experiment.
 """
 
@@ -13,14 +16,14 @@ import argparse
 import sys
 
 from .bench import (
-    METHODS,
     SweepSpec,
+    method_coeffs,
     run_module_sweep,
     run_noise_sweep,
     write_csv,
 )
-from .kernels import InterpKernel, interpolate, kernel_from_id
-from .modular import ModuleCoeffs, classical_coeffs, comb_coeffs, max_modules, reconstruct
+from .kernels import interpolate, kernel_from_id
+from .modular import max_modules, reconstruct
 from .optimizer import (
     CoeffFileError,
     assemble_system,
@@ -29,13 +32,9 @@ from .optimizer import (
     solve_coefficients,
     store_coeffs,
 )
-from .signals import Passband, gen_bandlimited, noise_power_ratio, sample_train, snr_db
+from .signals import FieldError, Passband, check_grid, gen_bandlimited, sample_train, snr_db
 
 __all__ = ["main"]
-
-
-class UsageError(Exception):
-    """Flag-level validation failure; maps to exit code 2."""
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
@@ -109,45 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_for(args) -> InterpKernel:
-    if args.period < 1:
-        raise UsageError(f"--period must be >= 1, got {args.period}")
-    try:
-        return kernel_from_id(args.kernel, args.period)
-    except ValueError as exc:
-        raise UsageError(f"--kernel: {exc}") from exc
-
-
-def _check_grid(args) -> None:
-    if args.length < 2:
-        raise UsageError(f"--length must be >= 2, got {args.length}")
-    if args.length % args.period:
-        raise UsageError(
-            f"--length {args.length} is not divisible by --period {args.period}"
-        )
-
-
 def _default_passband(args) -> int:
+    check_grid(period=args.period)
     nyquist_bin = args.length // (2 * args.period)
     k = args.passband if args.passband is not None else nyquist_bin - 1
     if k < 0:
-        raise UsageError(
-            f"--passband {k} is negative (is --length too small for --period?)"
+        raise FieldError(
+            f"passband half-width {k} is negative (is --length too small for --period?)", "K"
         )
     return k
 
 
-def _check_cap(modules: int, period: int, flag: str = "--modules") -> None:
-    cap = max_modules(period)
-    if modules > cap:
-        raise UsageError(
-            f"{flag} {modules} exceeds the maximum {cap} modules for --period {period}"
-        )
-    if modules < 0:
-        raise UsageError(f"{flag} must be >= 0, got {modules}")
-
-
-def _parse_module_list(text: str, period: int) -> tuple[int, ...]:
+def _parse_module_list(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -155,61 +127,23 @@ def _parse_module_list(text: str, period: int) -> tuple[int, ...]:
         else:
             values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise UsageError(f"--modules: cannot parse {text!r} (use a..b or m1,m2,...)") from None
+        raise FieldError(f"cannot parse {text!r} (use a..b or m1,m2,...)", "M") from None
     if not values:
-        raise UsageError("--modules: empty list")
-    for m in values:
-        _check_cap(m, period)
-        if m < 1:
-            raise UsageError(f"--modules entries must be >= 1, got {m}")
+        raise FieldError("empty list", "M")
     return tuple(values)
-
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(tok for tok in text.split(",") if tok)
-    unknown = sorted(set(methods) - set(METHODS))
-    if unknown:
-        raise UsageError(f"--methods: unknown {unknown}; choose from {list(METHODS)}")
-    if not methods:
-        raise UsageError("--methods: empty list")
-    return methods
 
 
 def _parse_snrs(text: str) -> tuple[float, ...]:
     try:
-        snrs = tuple(float(tok) for tok in text.split(",") if tok)
+        return tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
-        raise UsageError(f"--snrs: cannot parse {text!r} as comma-separated dB values") from None
-    if not snrs:
-        raise UsageError("--snrs: empty list")
-    for snr in snrs:
-        try:
-            noise_power_ratio(snr)
-        except ValueError as exc:
-            raise UsageError(f"--snrs: {exc}") from None
-    return snrs
-
-
-def _check_guard(guard: float) -> None:
-    if not 0.0 <= guard < 0.5:
-        raise UsageError(f"--guard must lie in [0, 0.5), got {guard}")
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+        raise FieldError(f"cannot parse {text!r} as comma-separated dB values", "snr") from None
 
 
 def cmd_solve(args) -> int:
-    kernel = _kernel_for(args)
-    _check_grid(args)
-    k = _default_passband(args)
-    if k > args.length // 2:
-        raise UsageError(f"--passband {k} exceeds --length/2 = {args.length // 2}")
-    _check_cap(args.modules, args.period)
-    if args.modules < 1:
-        raise UsageError(f"--modules must be >= 1, got {args.modules}")
-    solution = solve_coefficients(assemble_system(kernel, args.length, args.modules, Passband(k)))
+    kernel = kernel_from_id(args.kernel, args.period)
+    band = Passband(_default_passband(args))
+    solution = solve_coefficients(assemble_system(kernel, args.length, args.modules, band))
     store_coeffs(solution, args.out)
     if solution.rank_deficient:
         print("warning: design system is rank deficient; minimum-norm solution stored",
@@ -220,36 +154,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# Coefficient-file field -> the flag that sets it on the command line.
-_GRID_FLAGS = {"kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband"}
-
-
 def cmd_reconstruct(args) -> int:
-    kernel = _kernel_for(args)
-    _check_grid(args)
+    kernel = kernel_from_id(args.kernel, args.period)
     k = _default_passband(args)
-    _check_guard(args.guard)
-    _check_seed(args.seed)
     modules = args.modules if args.modules is not None else max_modules(args.period)
-    _check_cap(modules, args.period)
-
+    check_grid(period=args.period, modules=modules)
     if args.coeff_file is not None:
-        solution = load_coeffs(args.coeff_file)
         try:
-            check_solution_matches(solution, kernel.id, args.period, n=args.length, passband=k)
-        except CoeffFileError as exc:
-            raise CoeffFileError(f"{_GRID_FLAGS[exc.field]}: {exc}", exc.field) from exc
+            solution = load_coeffs(args.coeff_file)
+        except CoeffFileError as exc:  # the file itself is at fault, not a grid flag
+            raise CoeffFileError(str(exc), "coeff_file") from exc
+        check_solution_matches(solution, kernel.id, args.period, n=args.length, passband=k)
         coeffs = solution.coeffs
-    elif args.method == "classical":
-        coeffs = classical_coeffs(args.period, modules)
-    elif args.method == "comb":
-        coeffs = comb_coeffs(args.period)
-    elif modules == 0:
-        coeffs = ModuleCoeffs(args.period, ())
     else:
-        coeffs = solve_coefficients(
-            assemble_system(kernel, args.length, modules, Passband(k))
-        ).coeffs
+        coeffs = method_coeffs(args.method, kernel.id, args.period, args.length, modules, k)
 
     band = Passband(k)
     clean = gen_bandlimited(args.length, band, 1.0, args.seed)
@@ -260,37 +178,28 @@ def cmd_reconstruct(args) -> int:
 
 
 def _sweep_spec(args, modules: tuple[int, ...], snrs: tuple[float, ...] | None) -> SweepSpec:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    _check_seed(args.seed)
-    try:
-        return SweepSpec(
-            kernel_id=args.kernel,
-            period=args.period,
-            n=args.length,
-            k_sig=Passband(_default_passband(args)),
-            methods=_parse_methods(args.methods),
-            modules=modules,
-            trials=args.trials,
-            master_seed=args.seed,
-            noise_snrs_db=snrs,
-            guard_fraction=args.guard,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SweepSpec(
+        kernel_id=args.kernel,
+        period=args.period,
+        n=args.length,
+        k_sig=Passband(_default_passband(args)),
+        methods=tuple(tok for tok in args.methods.split(",") if tok),
+        modules=modules,
+        trials=args.trials,
+        master_seed=args.seed,
+        noise_snrs_db=snrs,
+        guard_fraction=args.guard,
+    )
 
 
 def cmd_sweep_modules(args) -> int:
-    _kernel_for(args)
-    _check_grid(args)
-    _check_guard(args.guard)
     if args.modules is None:
         cap = max_modules(args.period)
         if cap < 1:
-            raise UsageError(f"--period {args.period} admits no modules")
+            raise FieldError(f"period {args.period} admits no modules", "T")
         modules = tuple(range(1, cap + 1))
     else:
-        modules = _parse_module_list(args.modules, args.period)
+        modules = _parse_module_list(args.modules)
     rows = run_module_sweep(_sweep_spec(args, modules, None))
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -298,21 +207,14 @@ def cmd_sweep_modules(args) -> int:
 
 
 def cmd_sweep_noise(args) -> int:
-    _kernel_for(args)
-    _check_grid(args)
-    _check_guard(args.guard)
-    _check_cap(args.modules, args.period)
-    if args.modules < 1:
-        raise UsageError(f"--modules must be >= 1, got {args.modules}")
-    snrs = _parse_snrs(args.snrs)
-    rows = run_noise_sweep(_sweep_spec(args, (args.modules,), snrs))
+    rows = run_noise_sweep(_sweep_spec(args, (args.modules,), _parse_snrs(args.snrs)))
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_show_kernel(args) -> int:
-    kernel = _kernel_for(args)
+    kernel = kernel_from_id(args.kernel, args.period)
     print(f"id {kernel.id}")
     print(f"period {kernel.period}")
     print(f"origin {kernel.origin}")
@@ -335,11 +237,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
+    # Field named by a validation error -> the flag that sets it.
+    flags = {
+        "kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband",
+        "M": "--modules", "methods": "--methods", "trials": "--trials", "seed": "--seed",
+        "master_seed": "--seed", "guard_fraction": "--guard", "snr": "--snrs",
+        "coeff_file": "--coeff-file",
+    }
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except FieldError as exc:
+        flag = flags.get(exc.field)
+        print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
+        # a coefficient file that does not fit the flags is a runtime error
+        return 1 if isinstance(exc, CoeffFileError) else 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import Signal
+from .signals import FieldError, Signal, check_grid
 
 __all__ = [
     "InterpKernel",
@@ -56,8 +56,7 @@ class InterpKernel:
             raise ValueError("kernel taps must all be finite")
         if not 0 <= self.origin < taps.size:
             raise ValueError(f"origin {self.origin} outside taps [0, {taps.size})")
-        if self.period < 1:
-            raise ValueError("hold period must be >= 1")
+        check_grid(period=self.period)
         total = float(taps.sum())
         if abs(total - self.period) > _TAP_SUM_RTOL * self.period:
             raise ValueError(
@@ -112,29 +111,33 @@ def custom_kernel(path: str | Path, period: int) -> InterpKernel:
 
 
 def kernel_from_id(kernel_id: str, period: int) -> InterpKernel:
-    """Build a kernel from its textual id: sh | li | hold:<n> | custom:<path>."""
-    if kernel_id == "sh":
-        return sh_kernel(period)
-    if kernel_id == "li":
-        return li_kernel(period)
-    if kernel_id.startswith("hold:"):
-        try:
-            order = int(kernel_id[len("hold:") :])
-        except ValueError:
-            raise ValueError(f"bad hold order in kernel id {kernel_id!r}") from None
-        return nth_order_hold(order, period)
-    if kernel_id.startswith("custom:"):
-        return custom_kernel(kernel_id[len("custom:") :], period)
-    raise ValueError(f"unknown kernel id {kernel_id!r}")
+    """Build a kernel from its textual id: sh | li | hold:<n> | custom:<path>.
+
+    Raises `FieldError` on field kernel_id for an unusable id or kernel file.
+    """
+    check_grid(period=period)
+    try:
+        if kernel_id == "sh":
+            return sh_kernel(period)
+        if kernel_id == "li":
+            return li_kernel(period)
+        if kernel_id.startswith("hold:"):
+            try:
+                order = int(kernel_id[len("hold:") :])
+            except ValueError:
+                raise ValueError(f"bad hold order in kernel id {kernel_id!r}") from None
+            return nth_order_hold(order, period)
+        if kernel_id.startswith("custom:"):
+            return custom_kernel(kernel_id[len("custom:") :], period)
+        raise ValueError(f"unknown kernel id {kernel_id!r}")
+    except ValueError as exc:
+        raise FieldError(str(exc), "kernel_id") from exc
 
 
 def interpolate_array(train: np.ndarray, kernel: InterpKernel) -> np.ndarray:
     """`interpolate` of every sample train along the last axis of `train`."""
     n, period, taps = train.shape[-1], kernel.period, kernel.taps
-    if n % period:
-        raise ValueError(f"kernel period {period} does not divide length {n}")
-    if taps.size > n:
-        raise ValueError(f"kernel has {taps.size} taps but the signal only {n} samples")
+    check_grid(n, period, taps=taps.size, role="kernel")
     phases = train.reshape(*train.shape[:-1], n // period, period)
     out = np.zeros(phases.shape)
     for p in np.flatnonzero(phases.reshape(-1, period).any(axis=0)).tolist():
@@ -166,8 +169,7 @@ def frequency_response(kernel: InterpKernel, n: int) -> np.ndarray:
     H(k) = sum_m taps[m] exp(-i 2 pi k (m - origin) / n); H(0) equals the
     hold period by the tap-sum normalization.
     """
-    if kernel.taps.size > n:
-        raise ValueError(f"kernel has {kernel.taps.size} taps but the DFT size is {n}")
+    check_grid(n, taps=kernel.taps.size)
     padded = np.zeros(n)
     padded[(np.arange(kernel.taps.size) - kernel.origin) % n] = kernel.taps
     return np.fft.fft(padded)

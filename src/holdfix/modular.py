@@ -10,6 +10,11 @@ recovers signals interpolated by sh or li exactly.
 At most floor(period/2) modules are usable: the cosine at harmonic
 j + period/2 aliases onto the one at harmonic j (with alternating sign), so
 further modules only distort the bank.
+
+In the frequency domain weight j scales the folded replica pair
+H(k - j N/T) + H(k + j N/T) of the kernel response H. `replica_matrix`
+builds those pairs; `passband_gain` and the optimizer's design system are
+both read off it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import InterpKernel, frequency_response
-from .signals import Passband, Signal, lowpass_array
+from .signals import Passband, Signal, check_grid, lowpass_array, max_modules
 
 __all__ = [
     "ModuleCoeffs",
@@ -29,16 +34,10 @@ __all__ = [
     "comb_coeffs",
     "modulation_kernel",
     "reconstruct",
+    "replica_matrix",
     "passband_gain",
     "error_metric",
 ]
-
-
-def max_modules(period: int) -> int:
-    """Largest usable module count for a hold period: floor(period / 2)."""
-    if period < 1:
-        raise ValueError("hold period must be >= 1")
-    return period // 2
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,8 @@ class ModuleCoeffs:
     c: tuple[float, ...]
 
     def __post_init__(self):
-        cap = max_modules(self.period)
         weights = tuple(float(v) for v in self.c)
-        if len(weights) > cap:
-            raise ValueError(
-                f"{len(weights)} modules exceed the maximum {cap} for period {self.period}"
-            )
+        check_grid(period=self.period, modules=len(weights))
         if not all(math.isfinite(v) for v in weights):
             raise ValueError("module weights must all be finite")
         object.__setattr__(self, "c", weights)
@@ -66,8 +61,7 @@ class ModuleCoeffs:
 
 def classical_coeffs(period: int, modules: int) -> ModuleCoeffs:
     """Unit weights: the classical module bank (every cosine multiplied by 2)."""
-    if modules < 0:
-        raise ValueError("module count must be >= 0")
+    check_grid(period=period, modules=modules)
     return ModuleCoeffs(period, (1.0,) * modules)
 
 
@@ -102,8 +96,7 @@ def modulation_kernel(coeffs: ModuleCoeffs, n: int) -> Signal:
     any full period is 1.
     """
     period = coeffs.period
-    if n % period:
-        raise ValueError(f"module period {period} does not divide length {n}")
+    check_grid(n, period, role="module")
     return Signal(np.tile(module_bank(coeffs), n // period))
 
 
@@ -111,8 +104,7 @@ def reconstruct_array(samples: np.ndarray, bank: np.ndarray, band: Passband) -> 
     """`reconstruct` of every signal along the last axis of `samples`, given
     one period of the module bank (`module_bank`)."""
     n, period = samples.shape[-1], bank.size
-    if n % period:
-        raise ValueError(f"module period {period} does not divide length {n}")
+    check_grid(n, period, role="module")
     periods = samples.reshape(samples.shape[:-1] + (n // period, period))
     return lowpass_array((periods * bank).reshape(samples.shape), band)
 
@@ -122,35 +114,44 @@ def reconstruct(s: Signal, coeffs: ModuleCoeffs, band: Passband) -> Signal:
     return Signal(reconstruct_array(s.samples, module_bank(coeffs), band))
 
 
+def replica_matrix(
+    kernel: InterpKernel, n: int, bins: np.ndarray, modules: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`(base, pairs)` at the integer DFT `bins` k (taken mod N): base = H(k)/T
+    and column j-1 of pairs = (H(k - j N/T) + H(k + j N/T))/T, j = 1..modules.
+
+    A pair is (1/T) times the DFT of taps * 2 cos(2 pi j t / T). For even T
+    and j = T/2 both shifts hit one bin and the pair doubles, which is why
+    the comb weights halve that term.
+    """
+    period = kernel.period
+    check_grid(n, period, modules=modules)
+    normalized = frequency_response(kernel, n) / period
+    shift = n // period
+    bins = np.asarray(bins)
+    k, j = bins[:, None], np.arange(1, modules + 1)
+    pairs = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
+    return normalized[bins % n], pairs
+
+
 def passband_gain(
     kernel: InterpKernel, coeffs: ModuleCoeffs, n: int, band: Passband
 ) -> np.ndarray:
     """Effective passband transfer function G(k), returned for k = -K..K.
 
     G(k) = (1/period) * sum_{j=-M..M} c_|j| H((k - j n/period) mod n) with
-    c_0 = 1. Reconstruction of a signal band-limited inside the sampling
-    Nyquist bin satisfies X_hat(k) = G(k) X(k), so unit gain on the band
-    means perfect recovery.
+    c_0 = 1, that is base + pairs @ c from `replica_matrix`. Reconstruction
+    of a signal band-limited inside the sampling Nyquist bin satisfies
+    X_hat(k) = G(k) X(k), so unit gain on the band means perfect recovery.
     """
-    period = kernel.period
-    if coeffs.period != period:
+    if coeffs.period != kernel.period:
         raise ValueError(
-            f"kernel period {period} does not match coefficient period {coeffs.period}"
+            f"kernel period {kernel.period} does not match coefficient period {coeffs.period}"
         )
-    if n % period:
-        raise ValueError(f"hold period {period} does not divide length {n}")
+    check_grid(n, band=band)
     k_max = band.half_width_bins
-    if k_max > n // 2:
-        raise ValueError(f"passband half-width {k_max} exceeds N/2 = {n // 2}")
-    normalized = frequency_response(kernel, n) / period
-    shift = n // period
-    bins = np.arange(-k_max, k_max + 1)
-    gain = normalized[bins % n].astype(complex)
-    for j, weight in enumerate(coeffs.c, start=1):
-        gain += weight * (
-            normalized[(bins - j * shift) % n] + normalized[(bins + j * shift) % n]
-        )
-    return gain
+    base, pairs = replica_matrix(kernel, n, np.arange(-k_max, k_max + 1), coeffs.modules)
+    return base + pairs @ np.array(coeffs.c)
 
 
 def error_metric(

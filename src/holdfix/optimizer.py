@@ -2,11 +2,12 @@
 
 The passband gain is affine in the module weights: weight j scales the
 folded replica pair H((k - j n/T)) + H((k + j n/T)). Sampling those pairs on
-the non-negative passband bins and stacking real and imaginary parts gives
-an overdetermined real system A c = b whose least-squares solution minimizes
-the replica-sum error. Negative bins are conjugate duplicates of positive
-ones for real-tapped kernels, so they are folded into the residual
-bookkeeping (weight 2 on every k >= 1 term) instead of the matrix.
+the non-negative passband bins (`modular.replica_matrix`) and stacking real
+and imaginary parts gives an overdetermined real system A c = b whose
+least-squares solution minimizes the replica-sum error. Negative bins are
+conjugate duplicates of positive ones for real-tapped kernels, so they are
+folded into the residual bookkeeping (weight 2 on every k >= 1 term)
+instead of the matrix.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
@@ -22,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import InterpKernel, frequency_response
-from .modular import ModuleCoeffs, max_modules
-from .signals import Passband
+from .kernels import InterpKernel
+from .modular import ModuleCoeffs, replica_matrix
+from .signals import FieldError, Passband, check_grid
 
 __all__ = [
     "DesignSystem",
@@ -42,16 +43,12 @@ __all__ = [
 COEFF_SCHEMA = "holdfix-coeffs/1"
 
 
-class CoeffFileError(ValueError):
+class CoeffFileError(FieldError):
     """Raised when a coefficient lookup file is unusable or mismatched.
 
     `field` names the file field at fault (kernel_id, T, N, K, M,
     coefficients, ...) when there is one.
     """
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,25 +92,12 @@ class CoeffSolution:
     rank_deficient: bool = False
 
 
-def _normalized_response(kernel: InterpKernel, n: int) -> np.ndarray:
-    if n % kernel.period:
-        raise ValueError(f"hold period {kernel.period} does not divide length {n}")
-    return frequency_response(kernel, n) / kernel.period
-
-
 def replica_response(kernel: InterpKernel, n: int, j: int, k: int) -> complex:
-    """Folded normalized response H((k - j n/T))/T + H((k + j n/T))/T.
-
-    Equals (1/T) times the DFT of taps * 2 cos(2 pi j t / T) at bin k. For
-    even periods and j = T/2 both shifts land on the same bin and the value
-    doubles, which is exactly why the comb weights halve that term.
-    """
-    cap = max_modules(kernel.period)
-    if not 1 <= j <= cap:
-        raise ValueError(f"replica index {j} outside 1..{cap} for period {kernel.period}")
-    normalized = _normalized_response(kernel, n)
-    shift = n // kernel.period
-    return complex(normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n])
+    """Folded normalized response H((k - j n/T))/T + H((k + j n/T))/T at bin k,
+    for 1 <= j <= T/2: entry (k, j) of `modular.replica_matrix`."""
+    check_grid(period=kernel.period, modules=j, fewest_modules=1)
+    _, pairs = replica_matrix(kernel, n, np.array([k]), j)
+    return complex(pairs[0, j - 1])
 
 
 def assemble_system(
@@ -124,21 +108,10 @@ def assemble_system(
     Minimizing ||matrix @ c - target||^2 over real c minimizes
     sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period.
     """
-    cap = max_modules(kernel.period)
-    if not 1 <= modules <= cap:
-        raise ValueError(f"module count {modules} outside 1..{cap} for period {kernel.period}")
+    check_grid(n, kernel.period, band=band, modules=modules, fewest_modules=1)
     k_max = band.half_width_bins
-    if k_max > n // 2:
-        raise ValueError(f"passband half-width {k_max} exceeds N/2 = {n // 2}")
-    normalized = _normalized_response(kernel, n)
-    shift = n // kernel.period
-    bins = np.arange(k_max + 1)
-    rows = np.empty((k_max + 1, modules), dtype=complex)
-    for j in range(1, modules + 1):
-        rows[:, j - 1] = (
-            normalized[(bins - j * shift) % n] + normalized[(bins + j * shift) % n]
-        )
-    deficit = 1.0 - normalized[bins]
+    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), modules)
+    deficit = 1.0 - base
     return DesignSystem(
         matrix=np.vstack([rows.real, rows.imag]),
         target=np.concatenate([deficit.real, deficit.imag]),

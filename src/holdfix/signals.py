@@ -9,7 +9,8 @@ All operations are pure and all values are immutable after construction, so
 they are safe to share between threads. The `*_array` functions are the
 array-level cores behind the `Signal` functions: they work along the last
 axis, so one call processes a stack of equal-length signals with exactly the
-arithmetic of one call per signal.
+arithmetic of one call per signal. `check_grid` holds the grid checks that
+every module shares.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "Signal",
     "Passband",
+    "check_grid",
+    "max_modules",
     "ideal_lowpass",
     "gen_bandlimited",
     "sample_train",
@@ -62,17 +66,74 @@ class Passband:
         object.__setattr__(self, "half_width_bins", k)
 
 
-def _band_bins(n: int, band: Passband) -> int:
-    k = band.half_width_bins
-    if k > n // 2:
-        raise ValueError(f"passband half-width {k} exceeds N/2 = {n // 2}")
-    return k
+class FieldError(ValueError):
+    """A `ValueError` naming the input field at fault: N, T, K, M or kernel_id
+    as in coefficient files, or seed, snr or a `SweepSpec` field name."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def max_modules(period: int) -> int:
+    """Largest usable module count for a hold period: floor(period / 2)."""
+    check_grid(period=period)
+    return period // 2
+
+
+def check_grid(
+    n: int | None = None,
+    period: int | None = None,
+    *,
+    band: Passband | None = None,
+    modules: int | None = None,
+    fewest_modules: int = 0,
+    taps: int | None = None,
+    guard_fraction: float | None = None,
+    role: str = "hold",
+) -> None:
+    """Raise `FieldError` unless the given parts of an N-point grid fit.
+
+    N >= 1; the `role` period (hold, sampling, kernel or module) is >= 1 and
+    divides N; the passband half-width is <= N/2; `modules` lies in
+    fewest_modules..floor(period/2); a kernel of `taps` taps fits in N; the
+    SNR guard fraction dropped at each end lies in [0, 0.5). Parts left at
+    None are not checked.
+    """
+    if n is not None and n < 1:
+        raise FieldError(f"length must be >= 1, got {n}", "N")
+    if period is not None:
+        if period < 1:
+            raise FieldError(f"{role} period must be >= 1, got {period}", "T")
+        if n is not None and n % period:
+            raise FieldError(f"{role} period {period} does not divide length {n}", "N")
+    if band is not None and band.half_width_bins > n // 2:
+        raise FieldError(
+            f"passband half-width {band.half_width_bins} exceeds N/2 = {n // 2}", "K"
+        )
+    if modules is not None:
+        if modules < fewest_modules:
+            raise FieldError(f"module count must be >= {fewest_modules}, got {modules}", "M")
+        cap = max_modules(period)
+        if modules > cap:
+            # cosine j + T/2 aliases onto cosine j, so further modules only distort
+            raise FieldError(
+                f"{modules} modules exceed the maximum {cap}: floor(period/2) is "
+                f"the maximum for period {period}",
+                "M",
+            )
+    if taps is not None and taps > n:
+        raise FieldError(f"kernel has {taps} taps but the signal only {n} samples", "N")
+    if guard_fraction is not None and not 0.0 <= guard_fraction < 0.5:
+        raise FieldError(f"guard_fraction must lie in [0, 0.5), got {guard_fraction}",
+                         "guard_fraction")
 
 
 def lowpass_array(samples: np.ndarray, band: Passband) -> np.ndarray:
     """`ideal_lowpass` of every signal along the last axis of `samples`."""
     n = samples.shape[-1]
-    k = _band_bins(n, band)
+    check_grid(n, band=band)
+    k = band.half_width_bins
     spectrum = np.fft.rfft(samples)
     spectrum[..., k + 1 :] = 0.0
     return np.fft.irfft(spectrum, n=n)
@@ -90,6 +151,11 @@ def ideal_lowpass(x: Signal, band: Passband) -> Signal:
 
 def normal_array(n: int, seeds, sigma: float = 1.0) -> np.ndarray:
     """`default_rng(seed).normal(0.0, sigma, n)` for each of `seeds`, one row per seed."""
+    if n < 2:
+        raise FieldError(f"length must be >= 2, got {n}", "N")
+    for seed in seeds:
+        if seed < 0:
+            raise FieldError(f"seed must be >= 0, got {seed}", "seed")
     return np.stack([np.random.default_rng(seed).normal(0.0, sigma, n) for seed in seeds])
 
 
@@ -110,11 +176,7 @@ def gen_bandlimited(n: int, band: Passband, sigma: float, seed: int) -> Signal:
 
 def sample_array(samples: np.ndarray, period: int) -> np.ndarray:
     """`sample_train` of every signal along the last axis of `samples`."""
-    n = samples.shape[-1]
-    if period < 1:
-        raise ValueError("sampling period must be >= 1")
-    if n % period:
-        raise ValueError(f"sampling period {period} does not divide length {n}")
+    check_grid(samples.shape[-1], period, role="sampling")
     train = np.zeros(samples.shape)
     train[..., ::period] = samples[..., ::period]
     return train
@@ -128,12 +190,12 @@ def sample_train(x: Signal, period: int) -> Signal:
 def noise_power_ratio(target_snr_db: float) -> float:
     """Noise-to-signal power ratio 10^(-SNR/10) of a target SNR in dB."""
     if not math.isfinite(target_snr_db):
-        raise ValueError(f"target SNR {target_snr_db} dB is not finite")
+        raise FieldError(f"target SNR {target_snr_db} dB is not finite", "snr")
     try:
         return 10.0 ** (-target_snr_db / 10.0)
     except OverflowError:
-        raise ValueError(
-            f"target SNR {target_snr_db} dB needs a noise power beyond float range"
+        raise FieldError(
+            f"target SNR {target_snr_db} dB needs a noise power beyond float range", "snr"
         ) from None
 
 
@@ -145,18 +207,20 @@ def noise_array(
     `power` is each signal's mean square, `np.mean(samples**2, axis=-1)`, and
     `draw` holds standard-normal draws (`normal_array`), shaped like
     `samples`. Neither depends on the SNR, so a caller adding noise at several
-    SNRs computes both once.
+    SNRs computes both once. A level whose expected noise energy
+    N * power * ratio overflows is refused: the SNR of its output could not
+    be formed.
     """
     ratio = noise_power_ratio(target_snr_db)
     if np.any(power == 0.0):
         raise ValueError("cannot scale noise against a zero-power signal")
     with np.errstate(over="ignore"):
-        noise_std = np.sqrt(power * ratio)
-    if not np.all(np.isfinite(noise_std)):
-        raise ValueError(
-            f"noise std at target SNR {target_snr_db} dB is beyond float range"
+        noise_energy = samples.shape[-1] * power * ratio
+    if not np.all(np.isfinite(noise_energy)):
+        raise FieldError(
+            f"noise energy at target SNR {target_snr_db} dB is beyond float range", "snr"
         )
-    return samples + noise_std[..., None] * draw
+    return samples + np.sqrt(power * ratio)[..., None] * draw
 
 
 def add_noise(x: Signal, target_snr_db: float, seed: int) -> Signal:
@@ -178,8 +242,7 @@ def snr_db_array(
         raise ValueError(
             f"length mismatch: reference {reference.shape} vs estimate {estimate.shape}"
         )
-    if not 0.0 <= guard_fraction < 0.5:
-        raise ValueError("guard_fraction must lie in [0, 0.5)")
+    check_grid(guard_fraction=guard_fraction)
     n = reference.shape[-1]
     guard = int(guard_fraction * n + 1e-9)  # fp-safe floor
     if n - 2 * guard <= 0:

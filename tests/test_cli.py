@@ -98,6 +98,26 @@ class TestReconstruct:
         assert code == 1
         assert "--length" in capsys.readouterr().err
 
+    def test_malformed_coeff_file_names_coeff_file_flag(self, tmp_path, capsys):
+        # the file's M is wrong; --modules is not at fault
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["M"] = 4
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--method", "optimized", "--coeff-file", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --coeff-file: ")
+
+    def test_optimized_zero_modules_uses_empty_weights(self, capsys):
+        code = run_cli("reconstruct", "--method", "optimized", "--modules", "0")
+        assert code == 0
+        printed = float(capsys.readouterr().out.split()[-1])
+        spec = SweepSpec(kernel_id="sh", period=16, n=2048, k_sig=Passband(63),
+                         methods=("classical",), modules=(1,), trials=1, master_seed=0)
+        assert printed == pytest.approx(run_trial(spec, "classical", 0, None, 0), abs=1e-6)
+
     def test_coeff_file_null_coefficients_fails(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
@@ -172,6 +192,12 @@ class TestSweeps:
         assert "--snrs" in err and "out of range" not in err
         assert not out.exists()
 
+    def test_snr_near_float_limit_still_runs(self, tmp_path):
+        # noise energy about 1e302 at the default grid: large, but finite
+        out = tmp_path / "n.csv"
+        code = run_cli("sweep-noise", "--snrs=-3000", "--trials", "2", "--out", str(out))
+        assert code == 0
+
     def test_large_positive_snr_still_runs(self, tmp_path):
         # 10^(-SNR/10) underflows to zero noise, which is a valid clean input
         out = tmp_path / "n.csv"
@@ -201,6 +227,64 @@ class TestSweeps:
                        "--trials", "0", "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "--trials" in capsys.readouterr().err
+
+
+# Each row: a command line whose validation must fail, and the flag at fault.
+ERROR_TABLE = [
+    ("reconstruct --method comb --passband 5000", "--passband"),
+    ("reconstruct --method optimized --passband 5000", "--passband"),
+    ("solve --modules 5 --passband 5000", "--passband"),
+    ("solve --kernel hold:3 --period 16 --length 32 --modules 1", "--length"),
+    ("reconstruct --method comb --kernel hold:3 --period 16 --length 32", "--length"),
+    ("reconstruct --method optimized --kernel hold:3 --period 16 --length 32", "--length"),
+    ("sweep-modules --kernel hold:3 --period 16 --length 48 --trials 2", "--length"),
+    ("sweep-modules --kernel hold:3 --period 16 --length 48 --trials 2 --methods classical",
+     "--length"),
+    ("sweep-modules --passband 100 --trials 2", "--passband"),
+    ("sweep-noise --passband 100 --trials 2", "--passband"),
+    ("sweep-noise --snrs=-3080 --trials 2", "--snrs"),
+    ("sweep-noise --snrs=-3065 --trials 2", "--snrs"),
+    ("solve --kernel sh --period 4 --modules 3 --length 64", "--modules"),
+    ("solve --kernel sh --period 3 --modules 1 --length 64", "--length"),
+    ("solve --modules 0", "--modules"),
+    ("solve --modules 1 --period 0", "--period"),
+    ("solve --modules 1 --period 2 --length -4 --passband 0", "--length"),
+    ("solve --modules 1 --kernel hold:x", "--kernel"),
+    ("reconstruct --method comb --modules 99", "--modules"),
+    ("reconstruct --method classical --modules -1", "--modules"),
+    ("reconstruct --method comb --guard 0.7", "--guard"),
+    ("reconstruct --method comb --length 100", "--length"),
+    ("reconstruct --method comb --period 1 --length 1 --passband 0", "--length"),
+    ("sweep-modules --kernel sh --period 4 --length 256 --modules 3", "--modules"),
+    ("sweep-modules --modules 0 --trials 2", "--modules"),
+    ("sweep-modules --modules 1..x", "--modules"),
+    ("sweep-modules --period 1 --length 64", "--period"),
+    ("sweep-modules --methods classical,magic", "--methods"),
+    ("sweep-modules --guard 0.5", "--guard"),
+    ("sweep-modules --length 100", "--length"),
+    ("sweep-modules --period 2 --length -4 --passband 0", "--length"),
+    ("sweep-modules --passband -1", "--passband"),
+    ("sweep-noise --modules 9", "--modules"),
+    ("sweep-noise --snrs ten", "--snrs"),
+    ("sweep-noise --snrs=", "--snrs"),
+    ("show-kernel --kernel sinc", "--kernel"),
+    ("show-kernel --period 0", "--period"),
+]
+
+
+@pytest.mark.parametrize("command, flag", ERROR_TABLE, ids=[row[0] for row in ERROR_TABLE])
+def test_validation_error_exits_2_naming_flag(command, flag, tmp_path, capsys):
+    argv = command.split()
+    if argv[0] in ("solve", "sweep-modules", "sweep-noise"):
+        argv += ["--out", str(tmp_path / "out")]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ")
+    for raw in ("Traceback", "math domain error", "numpy", "negative dimensions",
+                "non-negative integer", "out of range", "Warning"):
+        assert raw not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestShowKernel:

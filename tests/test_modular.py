@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holdfix.kernels import interpolate, kernel_from_id, li_kernel, sh_kernel
+from holdfix.kernels import (
+    InterpKernel,
+    frequency_response,
+    interpolate,
+    kernel_from_id,
+    li_kernel,
+    sh_kernel,
+)
 from holdfix.modular import (
     ModuleCoeffs,
     classical_coeffs,
@@ -14,7 +21,7 @@ from holdfix.modular import (
     passband_gain,
     reconstruct,
 )
-from holdfix.optimizer import assemble_system, solve_coefficients
+from holdfix.optimizer import assemble_system, replica_response, solve_coefficients
 from holdfix.signals import Passband, Signal, gen_bandlimited, ideal_lowpass, sample_train
 
 
@@ -215,3 +222,60 @@ class TestFrequencyTimeEquivalence:
             freq_domain
         )
         assert rel < 1e-9
+
+
+def loop_replicas(kernel, n, bins):
+    """Oracle: the normalized response and the folded replica pairs, built one
+    module at a time as the optimizer and passband_gain once did."""
+    normalized = frequency_response(kernel, n) / kernel.period
+    shift = n // kernel.period
+    pairs = np.empty((bins.size, max_modules(kernel.period)), dtype=complex)
+    for j in range(1, pairs.shape[1] + 1):
+        pairs[:, j - 1] = normalized[(bins - j * shift) % n] + normalized[(bins + j * shift) % n]
+    return normalized, pairs
+
+
+def negative_tap_kernel(period):
+    taps = np.concatenate([[-0.25], np.ones(period), [0.25]])
+    return InterpKernel(taps, 1, period, "custom:negative-tap")
+
+
+@st.composite
+def replica_cases(draw):
+    period = draw(st.sampled_from([2, 3, 4, 8, 16, 32]))
+    kernel_id = draw(st.sampled_from(["sh", "li", "hold:2", "custom"]))
+    kernel = (negative_tap_kernel(period) if kernel_id == "custom"
+              else kernel_from_id(kernel_id, period))
+    n = period * draw(st.integers(-(-kernel.taps.size // period), 12))
+    modules = draw(st.integers(0, max_modules(period)))
+    k_max = draw(st.integers(0, n // 2))
+    weights = draw(st.lists(st.floats(-5, 5), min_size=modules, max_size=modules))
+    return kernel, n, modules, Passband(k_max), weights
+
+
+class TestReplicaMatrixMatchesLoop:
+    @settings(deadline=None, max_examples=150)
+    @given(case=replica_cases(), k=st.integers(-10**6, 10**6))
+    def test_gain_system_and_response_match_loop(self, case, k):
+        kernel, n, modules, band, weights = case
+        k_max = band.half_width_bins
+        normalized, pairs = loop_replicas(kernel, n, np.arange(-k_max, k_max + 1))
+
+        gain = normalized[np.arange(-k_max, k_max + 1) % n].astype(complex)
+        for j, weight in enumerate(weights, start=1):
+            gain += weight * pairs[:, j - 1]
+        got = passband_gain(kernel, ModuleCoeffs(kernel.period, weights), n, band)
+        bound = 1e-13 * (1.0 + sum(abs(w) for w in weights))
+        assert np.max(np.abs(got - gain)) <= bound
+
+        if modules >= 1:
+            system = assemble_system(kernel, n, modules, band)
+            rows = pairs[k_max:, :modules]  # bins 0..K
+            deficit = 1.0 - normalized[np.arange(k_max + 1)]
+            assert np.array_equal(system.matrix, np.vstack([rows.real, rows.imag]))
+            assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
+
+        # any bin, inside the passband or not, negative or beyond N
+        _, pairs_at_k = loop_replicas(kernel, n, np.array([k]))
+        for j in range(1, max_modules(kernel.period) + 1):
+            assert replica_response(kernel, n, j, k) == pairs_at_k[0, j - 1]

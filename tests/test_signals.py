@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holdfix.bench import SweepSpec
+from holdfix.kernels import frequency_response, interpolate_array, kernel_from_id, li_kernel, sh_kernel
+from holdfix.modular import ModuleCoeffs, comb_coeffs, modulation_kernel, passband_gain, reconstruct_array
+from holdfix.optimizer import assemble_system
 from holdfix.signals import (
+    FieldError,
     Passband,
     Signal,
     add_noise,
@@ -15,7 +20,9 @@ from holdfix.signals import (
     ideal_lowpass,
     noise_array,
     noise_power_ratio,
+    lowpass_array,
     normal_array,
+    sample_array,
     sample_train,
     snr_db,
     snr_db_array,
@@ -224,6 +231,13 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="beyond float range"):
             add_noise(x, -3000.0, 0)
 
+    def test_noise_energy_overflow_raises_field_error(self):
+        # std 1e154 is finite, but 8 samples of it square to an energy past float range
+        x = Signal(np.full(8, 1e100))
+        with pytest.raises(FieldError, match="beyond float range") as info:
+            add_noise(x, -1080.0, 0)
+        assert info.value.field == "snr"
+
     @settings(deadline=None, max_examples=40)
     @given(
         n=st.sampled_from([2, 8, 64, 2048]),
@@ -302,3 +316,45 @@ class TestSnrDb:
             snr_db(x, Signal(x.samples + a * bump), 0.1) for a in (0.1, 0.3, 1.0, 3.0)
         ]
         assert all(earlier > later for earlier, later in zip(values, values[1:]))
+
+
+def _spec(**overrides):
+    fields = dict(kernel_id="sh", period=4, n=256, k_sig=Passband(31), methods=("classical",),
+                  modules=(1,), trials=1, master_seed=0)
+    return SweepSpec(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: sample_array(np.ones(10), 4), "N"),
+    (lambda: sample_array(np.ones(8), 0), "T"),
+    (lambda: lowpass_array(np.ones(8), Passband(5)), "K"),
+    (lambda: interpolate_array(np.ones((2, 10)), sh_kernel(4)), "N"),
+    (lambda: interpolate_array(np.ones(4), li_kernel(4)), "N"),
+    (lambda: frequency_response(li_kernel(4), 4), "N"),
+    (lambda: reconstruct_array(np.ones(10), np.ones(4), Passband(1)), "N"),
+    (lambda: modulation_kernel(comb_coeffs(4), 10), "N"),
+    (lambda: ModuleCoeffs(4, (1.0, 1.0, 1.0)), "M"),
+    (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 64, Passband(40)), "K"),
+    (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 66, Passband(7)), "N"),
+    (lambda: assemble_system(sh_kernel(4), 64, 3, Passband(7)), "M"),
+    (lambda: assemble_system(sh_kernel(4), 64, 0, Passband(7)), "M"),
+    (lambda: assemble_system(sh_kernel(4), 64, 1, Passband(33)), "K"),
+    (lambda: kernel_from_id("sinc", 4), "kernel_id"),
+    (lambda: kernel_from_id("hold:-1", 4), "kernel_id"),
+    (lambda: kernel_from_id("sh", 0), "T"),
+    (lambda: gen_bandlimited(64, Passband(7), 1.0, -1), "seed"),
+    (lambda: gen_bandlimited(1, Passband(0), 1.0, 0), "N"),
+    (lambda: snr_db_array(np.ones(8), np.ones(8), 0.5), "guard_fraction"),
+    (lambda: noise_power_ratio(float("nan")), "snr"),
+    (lambda: _spec(n=250), "N"),
+    (lambda: _spec(modules=(3,)), "M"),
+    (lambda: _spec(k_sig=Passband(32)), "K"),
+    (lambda: _spec(methods=()), "methods"),
+    (lambda: _spec(trials=0), "trials"),
+    (lambda: _spec(master_seed=-1), "master_seed"),
+    (lambda: _spec(guard_fraction=0.5), "guard_fraction"),
+])
+def test_validation_errors_name_their_field(call, field):
+    with pytest.raises(FieldError) as info:
+        call()
+    assert info.value.field == field
