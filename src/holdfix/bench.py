@@ -4,8 +4,11 @@ Every trial is a pure function of (master_seed, trial_index): the test
 signal is seeded with master_seed + trial_index and, when an input SNR is
 requested, the injected noise with that value plus _NOISE_SEED_OFFSET.
 Results are therefore identical whatever order or grouping trials run in.
-Optimized weights are solved once per (kernel, period, length, modules,
-passband) and cached, lookup-table style.
+Optimized weights are solved once per (kernel taps and origin, period,
+length, modules, passband) and cached, lookup-table style. The key holds the
+taps, not the kernel id, so a custom kernel file rewritten within one process
+gets fresh weights; each solve reads its columns off the optimizer's cached
+replica system of that kernel and grid.
 
 Sweeps reuse each trial's signals across rows. Trials run in chunks of
 _TRIAL_CHUNK (8). Per chunk, one batched call generates all clean signals;
@@ -29,11 +32,10 @@ exceeds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .kernels import interpolate_array, kernel_from_id
+from .kernels import InterpKernel, interpolate_array, kernel_from_id
 from .modular import (
     ModuleCoeffs,
     classical_coeffs,
@@ -135,13 +137,18 @@ class SweepRow:
     trials: int
 
 
-@lru_cache(maxsize=None)
+# Solved optimized weights keyed on (taps bytes, origin, period, N, M, K).
+_OPTIMIZED: dict[tuple, ModuleCoeffs] = {}
+
+
 def _optimized_coeffs(
-    kernel_id: str, period: int, n: int, modules: int, passband: int
+    kernel: InterpKernel, n: int, modules: int, passband: int
 ) -> ModuleCoeffs:
-    kernel = kernel_from_id(kernel_id, period)
-    system = assemble_system(kernel, n, modules, Passband(passband))
-    return solve_coefficients(system).coeffs
+    key = (kernel.taps.tobytes(), kernel.origin, kernel.period, n, modules, passband)
+    if key not in _OPTIMIZED:
+        system = assemble_system(kernel, n, modules, Passband(passband))
+        _OPTIMIZED[key] = solve_coefficients(system).coeffs
+    return _OPTIMIZED[key]
 
 
 def method_coeffs(
@@ -158,7 +165,7 @@ def method_coeffs(
     if method == "classical" or modules == 0:
         return classical_coeffs(period, modules)
     if method == "optimized":
-        return _optimized_coeffs(kernel_id, period, n, modules, passband)
+        return _optimized_coeffs(kernel_from_id(kernel_id, period), n, modules, passband)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -9,6 +9,15 @@ conjugate duplicates of positive ones for real-tapped kernels, so they are
 folded into the residual bookkeeping (weight 2 on every k >= 1 term)
 instead of the matrix.
 
+Column j of the system does not depend on M, so the system for M modules is
+exactly the first M columns of the one for floor(T/2). `assemble_system`
+builds that full system once per kernel and grid and keeps it, read-only, in
+a least-recently-used cache of _SYSTEM_CACHE_SIZE (16) entries keyed on the
+kernel's taps and origin (never its id, so a rewritten custom kernel file is
+rebuilt), period, N and K. An entry holds about 4N bytes (256 KiB at
+N = 65536); every M then reads its columns off it, bit-identical to a fresh
+build.
+
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
 """
@@ -19,13 +28,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import InterpKernel
 from .modular import ModuleCoeffs, replica_matrix
-from .signals import FieldError, Passband, check_grid
+from .signals import FieldError, Passband, check_grid, max_modules
 
 __all__ = [
     "DesignSystem",
@@ -41,6 +51,10 @@ __all__ = [
 ]
 
 COEFF_SCHEMA = "holdfix-coeffs/1"
+
+# Full replica systems kept by `assemble_system`: one per (kernel, period) of
+# the benchmark design grid.
+_SYSTEM_CACHE_SIZE = 16
 
 
 class CoeffFileError(FieldError):
@@ -107,19 +121,36 @@ def assemble_system(
 
     Minimizing ||matrix @ c - target||^2 over real c minimizes
     sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period.
+
+    The matrix is the first `modules` columns of the cached floor(T/2)-module
+    system of this kernel and grid (see the module docstring): at most 16
+    systems of about 4N bytes each are kept.
     """
     check_grid(n, kernel.period, band=band, modules=modules, fewest_modules=1)
     k_max = band.half_width_bins
-    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), modules)
-    deficit = 1.0 - base
+    matrix, target = _full_system(kernel.taps.tobytes(), kernel.origin, kernel.period, n, k_max)
     return DesignSystem(
-        matrix=np.vstack([rows.real, rows.imag]),
-        target=np.concatenate([deficit.real, deficit.imag]),
+        matrix=matrix[:, :modules],
+        target=target,
         kernel_id=kernel.id,
         period=kernel.period,
         n=n,
         passband=k_max,
     )
+
+
+@lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
+def _full_system(
+    taps: bytes, origin: int, period: int, n: int, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (matrix, target) at floor(period/2) modules over bins 0..k_max."""
+    kernel = InterpKernel(np.frombuffer(taps), origin, period, "replica system")
+    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
+    deficit = 1.0 - base
+    system = (np.vstack([rows.real, rows.imag]), np.concatenate([deficit.real, deficit.imag]))
+    for array in system:
+        array.setflags(write=False)
+    return system
 
 
 def solve_coefficients(system: DesignSystem) -> CoeffSolution:

@@ -9,6 +9,7 @@ from holdfix.bench import (
     SNR_CLAMP_DB,
     SweepRow,
     SweepSpec,
+    method_coeffs,
     run_module_sweep,
     run_noise_sweep,
     run_trial,
@@ -105,6 +106,21 @@ class TestRunTrial:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_trial(small_spec(), "magic", 1, None, 0)
+
+
+class TestMethodCoeffs:
+    def test_rewritten_custom_kernel_gets_fresh_weights(self, tmp_path):
+        path = tmp_path / "taps.txt"
+        kernel_id = f"custom:{path}"
+        path.write_text("1 1 1 1\norigin=0\n")
+        before = method_coeffs("optimized", kernel_id, 4, 256, 2, 31)
+        path.write_text("0.25 0.5 0.75 1 0.75 0.5 0.25\norigin=3\n")
+        after = method_coeffs("optimized", kernel_id, 4, 256, 2, 31)
+        fresh = solve_coefficients(
+            assemble_system(kernel_from_id(kernel_id, 4), 256, 2, Passband(31))
+        ).coeffs
+        assert after.c == fresh.c
+        assert after.c != before.c
 
 
 class TestModuleSweep:

@@ -2,9 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from holdfix import optimizer
 from holdfix.kernels import InterpKernel, kernel_from_id, li_kernel, sh_kernel
-from holdfix.modular import ModuleCoeffs, classical_coeffs, error_metric, max_modules
+from holdfix.modular import (
+    ModuleCoeffs,
+    classical_coeffs,
+    error_metric,
+    max_modules,
+    replica_matrix,
+)
 from holdfix.optimizer import (
     COEFF_SCHEMA,
     CoeffFileError,
@@ -93,6 +102,59 @@ class TestAssembleSystem:
             assemble_system(sh_kernel(4), 64, 3, Passband(7))
         with pytest.raises(ValueError):
             assemble_system(sh_kernel(4), 64, 0, Passband(7))
+
+
+def cache_case_kernel(name, period):
+    """sh, li, hold:2, or one of two custom kernels sharing one path but not
+    taps: "custom-a" has the sh taps at origin T-1, "custom-b" a ramp."""
+    if name == "custom-a":
+        return InterpKernel(np.ones(period), period - 1, period, "custom:/shared/taps.txt")
+    if name == "custom-b":
+        ramp = np.arange(1.0, period + 1.0)
+        return InterpKernel(ramp * (period / ramp.sum()), 0, period, "custom:/shared/taps.txt")
+    return kernel_from_id(name, period)
+
+
+@st.composite
+def cache_calls(draw):
+    """(kernel name, T, N, K, M) of one `assemble_system` call."""
+    name = draw(st.sampled_from(["sh", "li", "hold:2", "custom-a", "custom-b"]))
+    # few grids, so that calls revisit cached systems and kernels collide
+    period = draw(st.sampled_from([3, 4, 6]))
+    n = period * draw(st.sampled_from([4, 8]))
+    k_max = draw(st.sampled_from([0, n // 4, n // 2]))
+    modules = draw(st.integers(1, max_modules(period)))
+    return name, period, n, k_max, modules
+
+
+class TestSystemCache:
+    """`assemble_system` serves every M from a cached floor(T/2)-module system."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(calls=st.lists(cache_calls(), min_size=1, max_size=40))
+    @example(calls=[("custom-a", 4, 16, 3, 1), ("custom-b", 4, 16, 3, 1)])
+    @example(calls=[("sh", 4, 16, 3, 2), ("sh", 4, 16, 3, 1), ("sh", 4, 16, 5, 1)])
+    def test_matches_uncached_build(self, calls):
+        optimizer._full_system.cache_clear()
+        for name, period, n, k_max, modules in calls:
+            kernel = cache_case_kernel(name, period)
+            system = assemble_system(kernel, n, modules, Passband(k_max))
+            base, pairs = replica_matrix(kernel, n, np.arange(k_max + 1), modules)
+            deficit = 1.0 - base
+            assert np.array_equal(system.matrix, np.vstack([pairs.real, pairs.imag]))
+            assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
+            assert system.kernel_id == kernel.id
+            info = optimizer._full_system.cache_info()
+            assert info.currsize <= optimizer._SYSTEM_CACHE_SIZE == info.maxsize
+            full = optimizer._full_system(kernel.taps.tobytes(), kernel.origin, period, n, k_max)
+            assert full[0].shape[1] == max_modules(period)
+            assert not (full[0].flags.writeable or full[1].flags.writeable)
+
+    def test_bounded_at_sixteen_systems(self):
+        optimizer._full_system.cache_clear()
+        for period in range(2, 20):
+            assemble_system(sh_kernel(period), 4 * period, 1, Passband(1))
+        assert optimizer._full_system.cache_info().currsize == 16
 
 
 class TestSolve:
