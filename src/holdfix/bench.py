@@ -4,11 +4,10 @@ Every trial is a pure function of (master_seed, trial_index): the test
 signal is seeded with master_seed + trial_index and, when an input SNR is
 requested, the injected noise with that value plus _NOISE_SEED_OFFSET.
 Results are therefore identical whatever order or grouping trials run in.
-Optimized weights are solved once per (kernel taps and origin, period,
-length, modules, passband) and cached, lookup-table style. The key holds the
-taps, not the kernel id, so a custom kernel file rewritten within one process
-gets fresh weights; each solve reads its columns off the optimizer's cached
-replica system of that kernel and grid.
+Each sweep builds its kernel once and solves the optimized weights of each
+distinct (method, modules) pair once, reading the columns off the optimizer's
+cached replica system of that kernel and grid; the harness keeps no cache of
+its own.
 
 Sweeps reuse each trial's signals across rows. Trials run in chunks of
 _TRIAL_CHUNK (8). Per chunk, one batched call generates all clean signals;
@@ -137,22 +136,8 @@ class SweepRow:
     trials: int
 
 
-# Solved optimized weights keyed on (taps bytes, origin, period, N, M, K).
-_OPTIMIZED: dict[tuple, ModuleCoeffs] = {}
-
-
-def _optimized_coeffs(
-    kernel: InterpKernel, n: int, modules: int, passband: int
-) -> ModuleCoeffs:
-    key = (kernel.taps.tobytes(), kernel.origin, kernel.period, n, modules, passband)
-    if key not in _OPTIMIZED:
-        system = assemble_system(kernel, n, modules, Passband(passband))
-        _OPTIMIZED[key] = solve_coefficients(system).coeffs
-    return _OPTIMIZED[key]
-
-
 def method_coeffs(
-    method: str, kernel_id: str, period: int, n: int, modules: int, passband: int
+    method: str, kernel: InterpKernel, n: int, modules: int, band: Passband
 ) -> ModuleCoeffs:
     """Weights of `method` (classical, comb or optimized) for `modules` modules.
 
@@ -161,11 +146,11 @@ def method_coeffs(
     give the empty set.
     """
     if method == "comb":
-        return comb_coeffs(period)
+        return comb_coeffs(kernel.period)
     if method == "classical" or modules == 0:
-        return classical_coeffs(period, modules)
+        return classical_coeffs(kernel.period, modules)
     if method == "optimized":
-        return _optimized_coeffs(kernel_from_id(kernel_id, period), n, modules, passband)
+        return solve_coefficients(assemble_system(kernel, n, modules, band)).coeffs
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -176,11 +161,10 @@ _Cell = tuple[str, int, float | None]
 def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
     """Raw output SNRs in dB (maybe +inf), shape (len(cells), len(trials))."""
     kernel = kernel_from_id(spec.kernel_id, spec.period)
-    banks = [
-        module_bank(method_coeffs(method, spec.kernel_id, spec.period, spec.n, modules,
-                                  spec.k_sig.half_width_bins))
-        for method, modules, _ in cells
-    ]
+    banks = {
+        (method, modules): module_bank(method_coeffs(method, kernel, spec.n, modules, spec.k_sig))
+        for method, modules in dict.fromkeys(cell[:2] for cell in cells)
+    }
     cells_at_level: dict[float | None, list[int]] = {}
     for index, (_, _, level) in enumerate(cells):
         cells_at_level.setdefault(level, []).append(index)
@@ -199,7 +183,7 @@ def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
                 source = noise_array(reference, power, draw, level)
             held = interpolate_array(sample_array(source, spec.period), kernel)
             for index in members:
-                restored = reconstruct_array(held, banks[index], spec.k_sig)
+                restored = reconstruct_array(held, banks[cells[index][:2]], spec.k_sig)
                 out[index, columns] = snr_db_array(reference, restored, spec.guard_fraction)
     return out
 

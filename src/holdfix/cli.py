@@ -156,20 +156,28 @@ def cmd_solve(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     kernel = kernel_from_id(args.kernel, args.period)
-    k = _default_passband(args)
+    band = Passband(_default_passband(args))
     modules = args.modules if args.modules is not None else max_modules(args.period)
     check_grid(period=args.period, modules=modules)
     if args.coeff_file is not None:
+        if args.method != "optimized":
+            raise CoeffFileError(
+                f"a coefficient file holds optimized weights, not {args.method!r} ones", "method"
+            )
         try:
             solution = load_coeffs(args.coeff_file)
         except CoeffFileError as exc:  # the file itself is at fault, not a grid flag
             raise CoeffFileError(str(exc), "coeff_file") from exc
-        check_solution_matches(solution, kernel.id, args.period, n=args.length, passband=k)
+        check_solution_matches(solution, kernel.id, args.period,
+                               n=args.length, passband=band.half_width_bins)
         coeffs = solution.coeffs
+        if args.modules is not None and args.modules != coeffs.modules:
+            raise CoeffFileError(
+                f"coefficients were solved for {coeffs.modules} modules, not {args.modules}", "M"
+            )
     else:
-        coeffs = method_coeffs(args.method, kernel.id, args.period, args.length, modules, k)
+        coeffs = method_coeffs(args.method, kernel, args.length, modules, band)
 
-    band = Passband(k)
     clean = gen_bandlimited(args.length, band, 1.0, args.seed)
     held = interpolate(sample_train(clean, args.period), kernel)
     restored = reconstruct(held, coeffs, band)
@@ -240,8 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     # Field named by a validation error -> the flag that sets it.
     flags = {
         "kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband",
-        "M": "--modules", "methods": "--methods", "trials": "--trials", "seed": "--seed",
-        "master_seed": "--seed", "guard_fraction": "--guard", "snr": "--snrs",
+        "M": "--modules", "method": "--method", "methods": "--methods", "trials": "--trials",
+        "seed": "--seed", "master_seed": "--seed", "guard_fraction": "--guard", "snr": "--snrs",
         "coeff_file": "--coeff-file",
     }
     try:

@@ -113,7 +113,8 @@ def custom_kernel(path: str | Path, period: int) -> InterpKernel:
 def kernel_from_id(kernel_id: str, period: int) -> InterpKernel:
     """Build a kernel from its textual id: sh | li | hold:<n> | custom:<path>.
 
-    Raises `FieldError` on field kernel_id for an unusable id or kernel file.
+    Raises `FieldError` on field kernel_id for an unusable id or an unreadable
+    or malformed kernel file.
     """
     check_grid(period=period)
     try:
@@ -130,7 +131,7 @@ def kernel_from_id(kernel_id: str, period: int) -> InterpKernel:
         if kernel_id.startswith("custom:"):
             return custom_kernel(kernel_id[len("custom:") :], period)
         raise ValueError(f"unknown kernel id {kernel_id!r}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise FieldError(str(exc), "kernel_id") from exc
 
 

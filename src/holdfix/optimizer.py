@@ -16,7 +16,8 @@ a least-recently-used cache of _SYSTEM_CACHE_SIZE (16) entries keyed on the
 kernel's taps and origin (never its id, so a rewritten custom kernel file is
 rebuilt), period, N and K. An entry holds about 4N bytes (256 KiB at
 N = 65536); every M then reads its columns off it, bit-identical to a fresh
-build.
+build. This cache, `_full_system`, is the package's only design cache: solved
+weights are not cached, since a solve from cached columns is one small lstsq.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
@@ -218,10 +219,14 @@ def load_coeffs(path: str | Path) -> CoeffSolution:
     """Read a coefficient lookup file written by `store_coeffs`.
 
     Every field is type-checked; a malformed file raises `CoeffFileError`
-    naming the field instead of a raw conversion error.
+    naming the field instead of a raw conversion error, and a file that cannot
+    be read or is not UTF-8 JSON raises it too.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise CoeffFileError(f"{path}: not a readable JSON file: {exc}") from exc
     if not isinstance(data, dict):
         raise CoeffFileError(f"{path}: expected a JSON object, got {type(data).__name__}")
     schema = data.get("schema")
@@ -264,15 +269,10 @@ def load_coeffs(path: str | Path) -> CoeffSolution:
 
 
 def check_solution_matches(
-    solution: CoeffSolution,
-    kernel_id: str,
-    period: int,
-    *,
-    n: int | None = None,
-    passband: int | None = None,
+    solution: CoeffSolution, kernel_id: str, period: int, *, n: int, passband: int
 ) -> None:
     """Refuse coefficients solved for a different kernel, hold period, signal
-    length N or passband half-width K. N and K are checked when given."""
+    length N or passband half-width K."""
     expected = (
         ("kernel_id", "kernel", solution.kernel_id, kernel_id),
         ("T", "period", solution.coeffs.period, period),
@@ -280,7 +280,7 @@ def check_solution_matches(
         ("K", "passband K", solution.passband, passband),
     )
     for field, label, solved, wanted in expected:
-        if wanted is not None and solved != wanted:
+        if solved != wanted:
             raise CoeffFileError(
                 f"coefficients were solved for {label} {solved!r}, not {wanted!r}", field
             )

@@ -113,9 +113,9 @@ class TestMethodCoeffs:
         path = tmp_path / "taps.txt"
         kernel_id = f"custom:{path}"
         path.write_text("1 1 1 1\norigin=0\n")
-        before = method_coeffs("optimized", kernel_id, 4, 256, 2, 31)
+        before = method_coeffs("optimized", kernel_from_id(kernel_id, 4), 256, 2, Passband(31))
         path.write_text("0.25 0.5 0.75 1 0.75 0.5 0.25\norigin=3\n")
-        after = method_coeffs("optimized", kernel_id, 4, 256, 2, 31)
+        after = method_coeffs("optimized", kernel_from_id(kernel_id, 4), 256, 2, Passband(31))
         fresh = solve_coefficients(
             assemble_system(kernel_from_id(kernel_id, 4), 256, 2, Passband(31))
         ).coeffs

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from holdfix import kernels
 from holdfix.bench import SweepSpec, run_trial
 from holdfix.cli import build_parser, main
+from holdfix.kernels import custom_kernel
 from holdfix.optimizer import load_coeffs
 from holdfix.signals import Passband
 
@@ -110,6 +112,30 @@ class TestReconstruct:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --coeff-file: ")
 
+    def test_coeff_file_not_json_names_coeff_file_flag(self, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        out.write_text("{bad")
+        code = run_cli("reconstruct", "--method", "optimized", "--coeff-file", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --coeff-file: ") and "Expecting" in err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--method", "classical"], "--method"),
+        (["--method", "comb", "--modules", "1"], "--method"),
+        (["--method", "optimized", "--modules", "1"], "--modules"),
+    ])
+    def test_coeff_file_refuses_other_method_or_modules(self, flags, flag, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "3", "--out", str(out))
+        capsys.readouterr()
+        code = run_cli("reconstruct", *flags, "--coeff-file", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        code = run_cli("reconstruct", "--method", "optimized", "--modules", "3",
+                       "--coeff-file", str(out))
+        assert code == 0  # the file's own M is accepted
+
     def test_optimized_zero_modules_uses_empty_weights(self, capsys):
         code = run_cli("reconstruct", "--method", "optimized", "--modules", "0")
         assert code == 0
@@ -130,6 +156,28 @@ class TestReconstruct:
         assert code == 1
         err = capsys.readouterr().err
         assert "'coefficients'" in err and "NoneType" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-modules", "--modules", "1..8", "--methods", "classical,optimized", "--trials", "2"],
+    ["sweep-noise", "--modules", "5", "--trials", "2"],
+    ["reconstruct", "--method", "optimized"],
+])
+def test_each_command_reads_custom_kernel_once(command, tmp_path, monkeypatch, capsys):
+    taps = tmp_path / "taps.txt"
+    taps.write_text(" ".join(["1"] * 16) + "\norigin=0\n")
+    reads = []
+
+    def counting_custom_kernel(path, period):
+        reads.append(path)
+        return custom_kernel(path, period)
+
+    monkeypatch.setattr(kernels, "custom_kernel", counting_custom_kernel)
+    out = [] if command[0] == "reconstruct" else ["--out", str(tmp_path / "s.csv")]
+    code = run_cli(*command, "--kernel", f"custom:{taps}", "--period", "16",
+                   "--length", "512", *out)
+    assert code == 0
+    assert reads == [str(taps)]
 
 
 class TestSweeps:
@@ -268,6 +316,7 @@ ERROR_TABLE = [
     ("sweep-noise --snrs ten", "--snrs"),
     ("sweep-noise --snrs=", "--snrs"),
     ("show-kernel --kernel sinc", "--kernel"),
+    ("solve --modules 1 --kernel custom:no-such-taps.txt", "--kernel"),
     ("show-kernel --period 0", "--period"),
 ]
 

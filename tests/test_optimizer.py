@@ -346,6 +346,13 @@ class TestCoeffStore:
         with pytest.raises(CoeffFileError, match="JSON object"):
             load_coeffs(path)
 
+    @pytest.mark.parametrize("content", [b"{bad", b'{"schema": "\xff"}'])
+    def test_undecodable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "coeffs.json"
+        path.write_bytes(content)
+        with pytest.raises(CoeffFileError, match="not a readable JSON file"):
+            load_coeffs(path)
+
     def test_grid_mismatch_rejected(self, tmp_path):
         path = tmp_path / "coeffs.json"
         store_coeffs(self._solution(), path)  # solved at N=64, K=7
@@ -363,7 +370,7 @@ class TestCoeffStore:
         store_coeffs(self._solution(), path)
         loaded = load_coeffs(path)
         with pytest.raises(CoeffFileError, match="kernel"):
-            check_solution_matches(loaded, "li", 4)
+            check_solution_matches(loaded, "li", 4, n=64, passband=7)
         with pytest.raises(CoeffFileError, match="period"):
-            check_solution_matches(loaded, "sh", 8)
-        check_solution_matches(loaded, "sh", 4)  # the matching case passes
+            check_solution_matches(loaded, "sh", 8, n=64, passband=7)
+        check_solution_matches(loaded, "sh", 4, n=64, passband=7)  # the matching case passes
