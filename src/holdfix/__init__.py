@@ -42,7 +42,6 @@ from .optimizer import (
     assemble_system,
     check_solution_matches,
     load_coeffs,
-    replica_response,
     solve_coefficients,
     store_coeffs,
 )

@@ -37,73 +37,69 @@ from .signals import FieldError, Passband, check_grid, gen_bandlimited, sample_t
 __all__ = ["main"]
 
 
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kernel", default="sh",
-                     help="kernel id: sh | li | hold:<n> | custom:<path>")
-    sub.add_argument("--period", type=int, default=16,
-                     help="hold/sampling period in samples")
-    sub.add_argument("--length", type=int, default=2048,
-                     help="signal length N (must be divisible by --period)")
-    sub.add_argument("--passband", type=int, default=None,
-                     help="passband half-width in bins (default length/(2*period) - 1)")
-
-
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--methods", default="classical,optimized",
-                     help="comma-separated subset of classical,comb,optimized")
-    sub.add_argument("--trials", type=int, default=100, help="trials per row")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--guard", type=float, default=0.10,
-                     help="fraction of samples ignored at each end for SNR")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holdfix",
         description="Reconstruct band-limited signals from hold-type "
                     "interpolations via weighted cosine-module mixing.",
     )
+    # Flag groups shared by several subcommands, each flag defined once.
+    kernel_flags = argparse.ArgumentParser(add_help=False)
+    kernel_flags.add_argument("--kernel", default="sh",
+                              help="kernel id: sh | li | hold:<n> | custom:<path>")
+    kernel_flags.add_argument("--period", type=int, default=16,
+                              help="hold/sampling period in samples")
+    grid_flags = argparse.ArgumentParser(add_help=False, parents=[kernel_flags])
+    grid_flags.add_argument("--length", type=int, default=2048,
+                            help="signal length N (must be divisible by --period)")
+    grid_flags.add_argument("--passband", type=int, default=None,
+                            help="passband half-width in bins (default length/(2*period) - 1)")
+    trial_flags = argparse.ArgumentParser(add_help=False)
+    trial_flags.add_argument("--seed", type=int, default=0,
+                             help="master seed of the test signals")
+    trial_flags.add_argument("--guard", type=float, default=0.10,
+                             help="fraction of samples ignored at each end for SNR")
+    sweep_flags = argparse.ArgumentParser(add_help=False, parents=[grid_flags])
+    sweep_flags.add_argument("--methods", default="classical,optimized",
+                             help="comma-separated subset of classical,comb,optimized")
+    sweep_flags.add_argument("--trials", type=int, default=100, help="trials per row")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve optimal module weights for a kernel")
-    _add_grid_flags(p)
+    p = sub.add_parser("solve", parents=[grid_flags],
+                       help="solve optimal module weights for a kernel")
     p.add_argument("--modules", type=int, required=True, help="module count M")
     p.add_argument("--out", required=True, help="output coefficient JSON path")
+    p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("reconstruct",
+    p = sub.add_parser("reconstruct", parents=[grid_flags, trial_flags],
                        help="reconstruct a generated test signal and print its SNR")
-    _add_grid_flags(p)
     p.add_argument("--method", required=True, choices=["classical", "optimized", "comb"],
                    help="weighting method")
     p.add_argument("--modules", type=int, default=None,
                    help="module count M (default period/2)")
     p.add_argument("--coeff-file", default=None,
                    help="use weights from this coefficient JSON instead of solving")
-    p.add_argument("--seed", type=int, default=0, help="test-signal seed")
-    p.add_argument("--guard", type=float, default=0.10,
-                   help="fraction of samples ignored at each end for SNR")
+    p.set_defaults(run=cmd_reconstruct)
 
-    p = sub.add_parser("sweep-modules", help="clean-signal sweep over module counts")
-    _add_grid_flags(p)
-    _add_sweep_flags(p)
+    p = sub.add_parser("sweep-modules", parents=[sweep_flags, trial_flags],
+                       help="clean-signal sweep over module counts")
     p.add_argument("--modules", default=None,
                    help="module counts: a..b range or comma list (default 1..period/2)")
     p.add_argument("--out", default="modules-sweep.csv", help="output CSV path")
+    p.set_defaults(run=cmd_sweep_modules)
 
-    p = sub.add_parser("sweep-noise", help="noisy-input sweep at a fixed module count")
-    _add_grid_flags(p)
-    _add_sweep_flags(p)
+    p = sub.add_parser("sweep-noise", parents=[sweep_flags, trial_flags],
+                       help="noisy-input sweep at a fixed module count")
     p.add_argument("--modules", type=int, default=5,
                    help="module count M used for every row")
     p.add_argument("--snrs", default="0,10,20,30,40,50,60,70,80",
                    help="comma-separated input SNRs in dB")
     p.add_argument("--out", default="noise-sweep.csv", help="output CSV path")
+    p.set_defaults(run=cmd_sweep_noise)
 
-    p = sub.add_parser("show-kernel", help="print a kernel's taps and origin")
-    p.add_argument("--kernel", default="sh",
-                   help="kernel id: sh | li | hold:<n> | custom:<path>")
-    p.add_argument("--period", type=int, default=16,
-                   help="hold/sampling period in samples")
+    p = sub.add_parser("show-kernel", parents=[kernel_flags],
+                       help="print a kernel's taps and origin")
+    p.set_defaults(run=cmd_show_kernel)
 
     return parser
 
@@ -230,15 +226,6 @@ def cmd_show_kernel(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "reconstruct": cmd_reconstruct,
-    "sweep-modules": cmd_sweep_modules,
-    "sweep-noise": cmd_sweep_noise,
-    "show-kernel": cmd_show_kernel,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -253,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         "coeff_file": "--coeff-file",
     }
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except FieldError as exc:
         flag = flags.get(exc.field)
         print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)

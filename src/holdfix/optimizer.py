@@ -15,9 +15,12 @@ builds that full system once per kernel and grid and keeps it, read-only, in
 a least-recently-used cache of _SYSTEM_CACHE_SIZE (16) entries keyed on the
 kernel's taps and origin (never its id, so a rewritten custom kernel file is
 rebuilt), period, N and K. An entry holds about 4N bytes (256 KiB at
-N = 65536); every M then reads its columns off it, bit-identical to a fresh
-build. This cache, `_full_system`, is the package's only design cache: solved
-weights are not cached, since a solve from cached columns is one small lstsq.
+N = 65536). A `DesignSystem` holds the entry's own read-only arrays, its
+matrix a view of the first M columns, so nothing is copied per call and every
+M is bit-identical to a fresh build. This cache, `_full_system`, is the
+package's only design cache: solved weights are not cached, since a solve
+from cached columns is one small lstsq. `solve_coefficients` refuses a system
+with a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
@@ -26,6 +29,7 @@ persisted to a small JSON lookup table and reused.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -42,7 +46,6 @@ __all__ = [
     "DesignSystem",
     "CoeffSolution",
     "CoeffFileError",
-    "replica_response",
     "assemble_system",
     "solve_coefficients",
     "store_coeffs",
@@ -82,18 +85,6 @@ class DesignSystem:
     n: int
     passband: int
 
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        target = np.array(self.target, dtype=float)
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(target))):
-            raise ValueError("design system entries must all be finite")
-        if matrix.ndim != 2 or target.ndim != 1 or matrix.shape[0] != target.size:
-            raise ValueError("matrix and target shapes disagree")
-        matrix.setflags(write=False)
-        target.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "target", target)
-
 
 @dataclass(frozen=True)
 class CoeffSolution:
@@ -106,13 +97,9 @@ class CoeffSolution:
     passband: int
     rank_deficient: bool = False
 
-
-def replica_response(kernel: InterpKernel, n: int, j: int, k: int) -> complex:
-    """Folded normalized response H((k - j n/T))/T + H((k + j n/T))/T at bin k,
-    for 1 <= j <= T/2: entry (k, j) of `modular.replica_matrix`."""
-    check_grid(period=kernel.period, modules=j, fewest_modules=1)
-    _, pairs = replica_matrix(kernel, n, np.array([k]), j)
-    return complex(pairs[0, j - 1])
+    def __post_init__(self):
+        if not (math.isfinite(self.residual) and self.residual >= 0.0):
+            raise ValueError(f"residual must be finite and >= 0, got {self.residual!r}")
 
 
 def assemble_system(
@@ -163,6 +150,9 @@ def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     minimum-norm solution, flagged rather than silently returned.
     """
     matrix, target = system.matrix, system.target
+    # LAPACK would print DLASCL errors on a non-finite entry and return garbage
+    if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
+        raise ValueError("design system entries must all be finite")
     modules = matrix.shape[1]
     c, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
     stacked_residual = matrix @ c - target
@@ -196,7 +186,10 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
         "residual": solution.residual,
     }
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
@@ -257,15 +250,18 @@ def load_coeffs(path: str | Path) -> CoeffSolution:
         )
     try:
         coeffs = ModuleCoeffs(data["T"], values)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
         raise CoeffFileError(f"{path}: field 'coefficients': {exc}", "coefficients") from exc
-    return CoeffSolution(
-        coeffs=coeffs,
-        residual=float(data["residual"]),
-        kernel_id=data["kernel_id"],
-        n=data["N"],
-        passband=data["K"],
-    )
+    try:
+        return CoeffSolution(
+            coeffs=coeffs,
+            residual=float(data["residual"]),
+            kernel_id=data["kernel_id"],
+            n=data["N"],
+            passband=data["K"],
+        )
+    except (ValueError, OverflowError) as exc:
+        raise CoeffFileError(f"{path}: field 'residual': {exc}", "residual") from exc
 
 
 def check_solution_matches(

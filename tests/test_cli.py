@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -39,6 +40,28 @@ class TestSolve:
         assert code == 2
         err = capsys.readouterr().err
         assert "maximum 2" in err and "--modules" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("taps, modules", [("1e300 -1e300 16", "8"),
+                                               ("1e308 -1e308 16", "2")])
+    def test_overflowing_residual_exits_1_without_file(self, taps, modules, tmp_path, capsys):
+        kernel_file = tmp_path / "taps.txt"
+        kernel_file.write_text(f"{taps}\norigin=0\n")
+        out = tmp_path / "c.json"
+        code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
+                       "--modules", modules, "--length", "256", "--out", str(out))
+        assert code == 1
+        assert "error: residual must be finite and >= 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_directory_names_out_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("solve", "--modules", "3", "--out", "nodir/c.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(": 'nodir/c.json'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_divisibility_exits_2(self, tmp_path, capsys):
         code = run_cli("solve", "--kernel", "sh", "--period", "3", "--modules", "1",
@@ -143,6 +166,19 @@ class TestReconstruct:
         spec = SweepSpec(kernel_id="sh", period=16, n=2048, k_sig=Passband(63),
                          methods=("classical",), modules=(1,), trials=1, master_seed=0)
         assert printed == pytest.approx(run_trial(spec, "classical", 0, None, 0), abs=1e-6)
+
+    @pytest.mark.parametrize("residual", [float("nan"), -1.0])
+    def test_coeff_file_bad_residual_names_coeff_file_flag(self, residual, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["residual"] = residual
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--method", "optimized", "--coeff-file", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --coeff-file: ") and "'residual'" in err
 
     def test_coeff_file_null_coefficients_fails(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -358,21 +394,56 @@ class TestParser:
         assert run_cli("--help") == 0
         assert "sweep-modules" in capsys.readouterr().out
 
-    EXPECTED_FLAGS = {
-        "solve": ["--kernel", "--period", "--length", "--passband", "--modules", "--out"],
-        "reconstruct": ["--kernel", "--period", "--length", "--passband", "--method",
-                        "--modules", "--coeff-file", "--seed", "--guard"],
-        "sweep-modules": ["--kernel", "--period", "--length", "--passband", "--methods",
-                          "--trials", "--seed", "--guard", "--modules", "--out"],
-        "sweep-noise": ["--kernel", "--period", "--length", "--passband", "--methods",
-                        "--trials", "--seed", "--guard", "--modules", "--snrs", "--out"],
-        "show-kernel": ["--kernel", "--period"],
+    # Each subcommand's options: (type, default); type None is a string.
+    OPTIONS = {
+        "solve": {
+            "--kernel": (None, "sh"), "--period": (int, 16), "--length": (int, 2048),
+            "--passband": (int, None), "--modules": (int, None), "--out": (None, None),
+        },
+        "reconstruct": {
+            "--kernel": (None, "sh"), "--period": (int, 16), "--length": (int, 2048),
+            "--passband": (int, None), "--method": (None, None), "--modules": (int, None),
+            "--coeff-file": (None, None), "--seed": (int, 0), "--guard": (float, 0.10),
+        },
+        "sweep-modules": {
+            "--kernel": (None, "sh"), "--period": (int, 16), "--length": (int, 2048),
+            "--passband": (int, None), "--methods": (None, "classical,optimized"),
+            "--trials": (int, 100), "--seed": (int, 0), "--guard": (float, 0.10),
+            "--modules": (None, None), "--out": (None, "modules-sweep.csv"),
+        },
+        "sweep-noise": {
+            "--kernel": (None, "sh"), "--period": (int, 16), "--length": (int, 2048),
+            "--passband": (int, None), "--methods": (None, "classical,optimized"),
+            "--trials": (int, 100), "--seed": (int, 0), "--guard": (float, 0.10),
+            "--modules": (int, 5), "--snrs": (None, "0,10,20,30,40,50,60,70,80"),
+            "--out": (None, "noise-sweep.csv"),
+        },
+        "show-kernel": {"--kernel": (None, "sh"), "--period": (int, 16)},
     }
 
-    @pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options_types_and_defaults(self, command):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = subparsers.choices[command]._actions
+        options = {
+            action.option_strings[-1]: (action.type, action.default)
+            for action in actions
+            if action.option_strings != ["-h", "--help"]
+        }
+        assert options == self.OPTIONS[command]
+        assert all(len(action.option_strings) == 1 for action in actions[1:])
+        required = {a.option_strings[0] for a in actions if a.required}
+        assert required == {"solve": {"--modules", "--out"},
+                            "reconstruct": {"--method"}}.get(command, set())
+        if command == "reconstruct":
+            (method,) = [a for a in actions if a.option_strings == ["--method"]]
+            assert method.choices == ["classical", "optimized", "comb"]
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_enumerates_every_flag(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         help_text = capsys.readouterr().out
-        for flag in self.EXPECTED_FLAGS[command]:
+        for flag in self.OPTIONS[command]:
             assert flag in help_text

@@ -20,8 +20,9 @@ from holdfix.modular import (
     modulation_kernel,
     passband_gain,
     reconstruct,
+    replica_matrix,
 )
-from holdfix.optimizer import assemble_system, replica_response, solve_coefficients
+from holdfix.optimizer import assemble_system, solve_coefficients
 from holdfix.signals import Passband, Signal, gen_bandlimited, ideal_lowpass, sample_train
 
 
@@ -278,4 +279,5 @@ class TestReplicaMatrixMatchesLoop:
         # any bin, inside the passband or not, negative or beyond N
         _, pairs_at_k = loop_replicas(kernel, n, np.array([k]))
         for j in range(1, max_modules(kernel.period) + 1):
-            assert replica_response(kernel, n, j, k) == pairs_at_k[0, j - 1]
+            _, entry = replica_matrix(kernel, n, np.array([k]), j)
+            assert entry[0, j - 1] == pairs_at_k[0, j - 1]

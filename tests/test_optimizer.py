@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from holdfix.optimizer import (
     assemble_system,
     check_solution_matches,
     load_coeffs,
-    replica_response,
     solve_coefficients,
     store_coeffs,
 )
@@ -43,11 +43,14 @@ GRID = [
 
 
 class TestReplicaResponse:
+    """Folded replica responses: entries (k, j) of `replica_matrix`."""
+
     def test_sh2_pair_collapses_to_one_bin(self):
         n = 64
         w = np.exp(-2j * np.pi / n)
         for k in (0, 1, 5, 17, 31):
-            value = replica_response(sh_kernel(2), n, 1, k)
+            _, pairs = replica_matrix(sh_kernel(2), n, np.array([k]), 1)
+            value = pairs[0, 0]
             assert value == pytest.approx(1.0 - w**k, abs=1e-12)
 
     def test_matches_modulated_taps_dft(self):
@@ -58,19 +61,19 @@ class TestReplicaResponse:
         aligned[(np.arange(kernel.taps.size) - kernel.origin) % n] = kernel.taps
         modulated = aligned * 2.0 * np.cos(np.pi * np.arange(n))
         oracle = dft_naive(modulated) / kernel.period
+        _, pairs = replica_matrix(kernel, n, np.arange(n), 1)
         for k in range(n):
-            assert replica_response(kernel, n, 1, k) == pytest.approx(
+            assert pairs[k, 0] == pytest.approx(
                 oracle[k], abs=1e-11
             )
 
     def test_li2_null_at_nyquist_shift(self):
-        assert replica_response(li_kernel(2), 8, 1, 0) == pytest.approx(0.0, abs=1e-13)
+        _, pairs = replica_matrix(li_kernel(2), 8, np.array([0]), 1)
+        assert pairs[0, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
-            replica_response(sh_kernel(4), 64, 0, 0)
-        with pytest.raises(ValueError):
-            replica_response(sh_kernel(4), 64, 3, 0)
+            replica_matrix(sh_kernel(4), 64, np.array([0]), 3)
 
 
 class TestAssembleSystem:
@@ -102,6 +105,14 @@ class TestAssembleSystem:
             assemble_system(sh_kernel(4), 64, 3, Passband(7))
         with pytest.raises(ValueError):
             assemble_system(sh_kernel(4), 64, 0, Passband(7))
+
+    def test_systems_are_read_only_views_of_one_cached_system(self):
+        one = assemble_system(sh_kernel(8), 256, 1, Passband(15))
+        two = assemble_system(sh_kernel(8), 256, 2, Passband(15))
+        assert np.shares_memory(one.matrix, two.matrix)
+        assert np.shares_memory(one.target, two.target)
+        for array in (one.matrix, one.target, two.matrix, two.target):
+            assert not array.flags.writeable
 
 
 def cache_case_kernel(name, period):
@@ -254,6 +265,32 @@ class TestSolve:
         )
         assert len(solved.coeffs.c) == 3
 
+    @pytest.mark.parametrize("part", ["matrix", "target"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_nonfinite_system_before_lapack(self, part, bad, capfd):
+        system = assemble_system(sh_kernel(4), 64, 2, Passband(7))
+        array = np.array(getattr(system, part))
+        array[1] = bad
+        hand_built = replace(system, **{part: array})
+        with pytest.raises(ValueError, match="design system entries must all be finite"):
+            solve_coefficients(hand_built)
+        assert "DLASCL" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("taps, modules", [([1e300, -1e300, 16.0], 8),
+                                               ([1e308, -1e308, 16.0], 2)])
+    def test_refuses_overflowing_residual(self, taps, modules):
+        # the weights are finite, but the replica-sum error overflows to inf
+        kernel = InterpKernel(taps, 0, 16, "custom:huge")
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = assemble_system(kernel, 256, modules, Passband(7))
+            with pytest.raises(ValueError, match="residual must be finite"):
+                solve_coefficients(system)
+
+    @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -1.0])
+    def test_solution_residual_must_be_finite_and_non_negative(self, residual):
+        with pytest.raises(ValueError, match="residual must be finite and >= 0"):
+            CoeffSolution(ModuleCoeffs(4, (1.0,)), residual, "sh", 64, 7)
+
     def test_rank_deficient_flagged_minimum_norm(self):
         # flat single-tap kernel: every replica response is the constant 2
         flat = InterpKernel([4.0], 0, 4, "custom:flat")
@@ -329,6 +366,11 @@ class TestCoeffStore:
         ("M", "2"),
         ("kernel_id", 7),
         ("residual", None),
+        ("residual", float("nan")),
+        ("residual", float("inf")),
+        ("residual", -1.0),
+        pytest.param("residual", 10**400, id="residual-huge-int"),
+        pytest.param("coefficients", [10**400, 0.25], id="coefficients-huge-int"),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "coeffs.json"
@@ -339,6 +381,13 @@ class TestCoeffStore:
         with pytest.raises(CoeffFileError, match=field) as info:
             load_coeffs(path)
         assert info.value.field == field
+
+    def test_missing_directory_names_the_requested_path(self, tmp_path):
+        path = tmp_path / "nodir" / "coeffs.json"
+        with pytest.raises(FileNotFoundError) as info:
+            store_coeffs(self._solution(), path)
+        assert info.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "coeffs.json"
