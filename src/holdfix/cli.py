@@ -3,17 +3,19 @@
 Exit codes: 0 on success, 2 on flag or validation errors, 1 on runtime
 errors and on a coefficient file that does not fit the flags. The library
 validates its inputs and raises `FieldError` naming the field at fault;
-`main` maps each field to its flag in one table, so every such message
-names the flag. Flag defaults mirror the benchmark defaults (length 2048,
-period 16, trials 100, guard 0.10, passband length/(2*period) - 1), so a
-bare `holdfix sweep-modules --kernel sh` runs the headline module-count
-experiment.
+`main` maps each field to its flag in one table, `_FLAGS`, so every such
+message names the flag. The parser is built once per process, on the first
+`main` call, and holds no per-call state. Flag defaults mirror the benchmark
+defaults (length 2048, period 16, trials 100, guard 0.10, passband
+length/(2*period) - 1), so a bare `holdfix sweep-modules --kernel sh` runs
+the headline module-count experiment.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .bench import (
     SweepSpec,
@@ -36,8 +38,18 @@ from .signals import FieldError, Passband, check_grid, gen_bandlimited, sample_t
 
 __all__ = ["main"]
 
+# Field named by a validation error -> the flag that sets it.
+_FLAGS = {
+    "kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband",
+    "M": "--modules", "method": "--method", "methods": "--methods", "trials": "--trials",
+    "seed": "--seed", "master_seed": "--seed", "guard_fraction": "--guard", "snr": "--snrs",
+    "coeff_file": "--coeff-file",
+}
 
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="holdfix",
         description="Reconstruct band-limited signals from hold-type "
@@ -227,22 +239,14 @@ def cmd_show_kernel(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
-    # Field named by a validation error -> the flag that sets it.
-    flags = {
-        "kernel_id": "--kernel", "T": "--period", "N": "--length", "K": "--passband",
-        "M": "--modules", "method": "--method", "methods": "--methods", "trials": "--trials",
-        "seed": "--seed", "master_seed": "--seed", "guard_fraction": "--guard", "snr": "--snrs",
-        "coeff_file": "--coeff-file",
-    }
     try:
         return args.run(args)
     except FieldError as exc:
-        flag = flags.get(exc.field)
+        flag = _FLAGS.get(exc.field)
         print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
         # a coefficient file that does not fit the flags is a runtime error
         return 1 if isinstance(exc, CoeffFileError) else 2

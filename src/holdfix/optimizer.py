@@ -133,8 +133,10 @@ def _full_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (matrix, target) at floor(period/2) modules over bins 0..k_max."""
     kernel = InterpKernel(np.frombuffer(taps), origin, period, "replica system")
-    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
-    deficit = 1.0 - base
+    # an overflowing kernel response is refused by `solve_coefficients`
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
+        deficit = 1.0 - base
     system = (np.vstack([rows.real, rows.imag]), np.concatenate([deficit.real, deficit.imag]))
     for array in system:
         array.setflags(write=False)
@@ -155,10 +157,12 @@ def solve_coefficients(system: DesignSystem) -> CoeffSolution:
         raise ValueError("design system entries must all be finite")
     modules = matrix.shape[1]
     c, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    stacked_residual = matrix @ c - target
     half = matrix.shape[0] // 2
-    per_bin = stacked_residual[:half] ** 2 + stacked_residual[half:] ** 2
-    residual = float(per_bin[0] + 2.0 * per_bin[1:].sum())
+    # an overflowing residual is refused by `CoeffSolution`
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked_residual = matrix @ c - target
+        per_bin = stacked_residual[:half] ** 2 + stacked_residual[half:] ** 2
+        residual = float(per_bin[0] + 2.0 * per_bin[1:].sum())
     return CoeffSolution(
         coeffs=ModuleCoeffs(system.period, tuple(float(v) for v in c)),
         residual=residual,

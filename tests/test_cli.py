@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -54,6 +55,20 @@ class TestSolve:
         assert code == 1
         assert "error: residual must be finite and >= 0, got inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("taps, modules", [("1e300 -1e300 16", "8"),
+                                               ("1e308 -1e308 16", "2")])
+    def test_overflowing_kernel_prints_no_numpy_warning(self, taps, modules, tmp_path, capsys):
+        # a length no other test uses, so the replica system is built here, not cached
+        kernel_file = tmp_path / "taps.txt"
+        kernel_file.write_text(f"{taps}\norigin=0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
+                           "--modules", modules, "--length", "512",
+                           "--out", str(tmp_path / "c.json"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: residual must be finite and >= 0, got inf\n"
 
     def test_missing_out_directory_names_out_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -447,3 +462,54 @@ class TestParser:
         help_text = capsys.readouterr().out
         for flag in self.OPTIONS[command]:
             assert flag in help_text
+
+
+class TestRepeatedCalls:
+    """`main` reuses one parser per process; no call may see another's flags."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_bare_solve_after_flagged_solve_gets_defaults(self, tmp_path, capsys):
+        first, second = tmp_path / "li.json", tmp_path / "sh.json"
+        assert run_cli("solve", "--kernel", "li", "--period", "8", "--length", "1024",
+                       "--passband", "50", "--modules", "3", "--out", str(first)) == 0
+        assert run_cli("solve", "--modules", "3", "--out", str(second)) == 0
+        data = json.loads(second.read_text())
+        assert (data["kernel_id"], data["T"], data["N"], data["K"], data["M"]) == \
+            ("sh", 16, 2048, 63, 3)
+
+    @pytest.mark.parametrize("failing", [
+        ("solve", "--modules", "3", "--bogus", "1"),
+        ("solve", "--period", "3", "--length", "64", "--modules", "1"),
+        ("solve", "--help"),
+    ], ids=["unknown-flag", "validation", "help"])
+    def test_call_after_early_exit_runs_normally(self, failing, tmp_path, capsys):
+        assert run_cli(*failing, "--out", str(tmp_path / "bad.json")) == \
+            (0 if "--help" in failing else 2)
+        out = tmp_path / "c.json"
+        assert run_cli("solve", "--kernel", "li", "--period", "8", "--length", "256",
+                       "--modules", "2", "--out", str(out)) == 0
+        assert load_coeffs(out).coeffs.modules == 2
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_comb_after_coeff_file_sees_no_coeff_file(self, tmp_path, capsys):
+        grid = ("--kernel", "li", "--period", "8", "--length", "1024", "--modules", "3")
+        coeff_file = tmp_path / "c.json"
+        run_cli("solve", *grid, "--out", str(coeff_file))
+        assert run_cli("reconstruct", *grid, "--method", "optimized",
+                       "--coeff-file", str(coeff_file)) == 0
+        capsys.readouterr()
+        assert run_cli("reconstruct", *grid, "--method", "comb") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("snr_db ")
+        assert build_parser().parse_args(["reconstruct", "--method", "comb"]).coeff_file is None
+
+    def test_cached_parser_writes_same_file_as_fresh_parser(self, tmp_path, capsys):
+        argv = ["solve", "--kernel", "hold:2", "--period", "8", "--length", "512",
+                "--modules", "3", "--out"]
+        cached, fresh = tmp_path / "cached.json", tmp_path / "fresh.json"
+        assert run_cli(*argv, str(cached)) == 0
+        args = build_parser.__wrapped__().parse_args([*argv, str(fresh)])
+        assert args.run(args) == 0
+        assert cached.read_bytes() == fresh.read_bytes()
