@@ -31,7 +31,7 @@ from .modular import (
     comb_coeffs,
     error_metric,
     max_modules,
-    modulation_kernel,
+    module_bank,
     passband_gain,
     reconstruct,
 )

@@ -7,7 +7,9 @@ Results are therefore identical whatever order or grouping trials run in.
 Each sweep builds its kernel once and solves the optimized weights of each
 distinct (method, modules) pair once, reading the columns off the optimizer's
 cached replica system of that kernel and grid; the harness keeps no cache of
-its own.
+its own. `method_coeffs` is the one place a (method, modules) pair becomes
+weights: comb weights exist only at their own count floor(T/2), so both
+sweeps list comb once, at that count, whatever modules the spec requests.
 
 Sweeps reuse each trial's signals across rows. Trials run in chunks of
 _TRIAL_CHUNK (8). Per chunk, one batched call generates all clean signals;
@@ -109,6 +111,8 @@ class SweepSpec:
         unknown = sorted(set(self.methods) - set(METHODS))
         if unknown:
             raise FieldError(f"unknown methods {unknown}; choose from {list(METHODS)}", "methods")
+        if not self.modules:
+            raise FieldError("at least one module count is required", "M")
         for m in self.modules:
             check_grid(period=self.period, modules=m, fewest_modules=1)
         if self.trials < 1:
@@ -141,12 +145,16 @@ def method_coeffs(
 ) -> ModuleCoeffs:
     """Weights of `method` (classical, comb or optimized) for `modules` modules.
 
-    Comb weights have a fixed count and ignore `modules`. With zero modules
-    there is nothing to weight or solve, so classical and optimized both
-    give the empty set.
+    Comb weights exist only at their own count floor(T/2); any other
+    `modules` raises `FieldError` on M. With zero modules there is nothing
+    to weight or solve, so classical and optimized both give the empty set.
     """
     if method == "comb":
-        return comb_coeffs(kernel.period)
+        coeffs = comb_coeffs(kernel.period)
+        if modules != coeffs.modules:
+            raise FieldError(f"comb weights have {coeffs.modules} modules at period "
+                             f"{kernel.period}, not {modules}", "M")
+        return coeffs
     if method == "classical" or modules == 0:
         return classical_coeffs(kernel.period, modules)
     if method == "optimized":
@@ -206,7 +214,16 @@ def run_trial(
     return float(_raw_snrs(spec, [cell], range(trial_index, trial_index + 1))[0, 0])
 
 
-def _sweep_rows(spec: SweepSpec, cells: list[_Cell]) -> list[SweepRow]:
+def _sweep(spec: SweepSpec, levels: tuple[float | None, ...]) -> list[SweepRow]:
+    """Rows ordered by (method, modules, level); comb sits at its own count."""
+    cells = [
+        (method, modules, level)
+        for method in sorted(set(spec.methods))
+        for modules in (
+            [comb_coeffs(spec.period).modules] if method == "comb" else sorted(set(spec.modules))
+        )
+        for level in levels
+    ]
     clamped = np.minimum(_raw_snrs(spec, cells, range(spec.trials)), SNR_CLAMP_DB)
     return [
         SweepRow(
@@ -224,18 +241,10 @@ def _sweep_rows(spec: SweepSpec, cells: list[_Cell]) -> list[SweepRow]:
 def run_module_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Clean-signal sweep over module counts, one row per (method, modules).
 
-    Rows are ordered by (method, modules). The comb method has a fixed
-    implied module count, so it contributes a single row at that count no
-    matter what the requested modules list says.
+    Rows are ordered by (method, modules). Comb contributes a single row at
+    its own count floor(T/2), whatever the requested modules list says.
     """
-    cells = []
-    for method in sorted(set(spec.methods)):
-        if method == "comb":
-            counts = [comb_coeffs(spec.period).modules]
-        else:
-            counts = sorted(set(spec.modules))
-        cells.extend((method, modules, None) for modules in counts)
-    return _sweep_rows(spec, cells)
+    return _sweep(spec, (None,))
 
 
 def run_noise_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -243,18 +252,14 @@ def run_noise_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Noise is injected into the band-limited signal before sampling. Rows are
     grouped by method (alphabetical) and follow the requested SNR order.
+    Classical and optimized rows use the requested count; comb rows use its
+    own count floor(T/2), as in the module sweep.
     """
     if not spec.noise_snrs_db:
         raise FieldError("noise sweep needs a non-empty noise_snrs_db list", "snr")
     if len(set(spec.modules)) != 1:
         raise FieldError("noise sweep uses exactly one module count", "M")
-    modules = spec.modules[0]
-    cells = [
-        (method, modules, input_snr)
-        for method in sorted(set(spec.methods))
-        for input_snr in spec.noise_snrs_db
-    ]
-    return _sweep_rows(spec, cells)
+    return _sweep(spec, spec.noise_snrs_db)
 
 
 def write_csv(rows: list[SweepRow], path) -> None:

@@ -176,13 +176,9 @@ def cmd_reconstruct(args) -> int:
             solution = load_coeffs(args.coeff_file)
         except CoeffFileError as exc:  # the file itself is at fault, not a grid flag
             raise CoeffFileError(str(exc), "coeff_file") from exc
-        check_solution_matches(solution, kernel.id, args.period,
-                               n=args.length, passband=band.half_width_bins)
+        check_solution_matches(solution, kernel.id, args.period, n=args.length,
+                               passband=band.half_width_bins, modules=args.modules)
         coeffs = solution.coeffs
-        if args.modules is not None and args.modules != coeffs.modules:
-            raise CoeffFileError(
-                f"coefficients were solved for {coeffs.modules} modules, not {args.modules}", "M"
-            )
     else:
         coeffs = method_coeffs(args.method, kernel, args.length, modules, band)
 

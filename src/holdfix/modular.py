@@ -32,7 +32,7 @@ __all__ = [
     "max_modules",
     "classical_coeffs",
     "comb_coeffs",
-    "modulation_kernel",
+    "module_bank",
     "reconstruct",
     "replica_matrix",
     "passband_gain",
@@ -87,17 +87,6 @@ def module_bank(coeffs: ModuleCoeffs) -> np.ndarray:
     for j, weight in enumerate(coeffs.c, start=1):
         one_period += 2.0 * weight * np.cos(2.0 * np.pi * j * t / period)
     return one_period
-
-
-def modulation_kernel(coeffs: ModuleCoeffs, n: int) -> Signal:
-    """Periodic module bank m[t] = 1 + sum_j 2 c_j cos(2 pi j t / period).
-
-    One period is evaluated and tiled, so periodicity is exact; the mean over
-    any full period is 1.
-    """
-    period = coeffs.period
-    check_grid(n, period, role="module")
-    return Signal(np.tile(module_bank(coeffs), n // period))
 
 
 def reconstruct_array(samples: np.ndarray, bank: np.ndarray, band: Passband) -> np.ndarray:

@@ -269,18 +269,20 @@ def load_coeffs(path: str | Path) -> CoeffSolution:
 
 
 def check_solution_matches(
-    solution: CoeffSolution, kernel_id: str, period: int, *, n: int, passband: int
+    solution: CoeffSolution, kernel_id: str, period: int, *, n: int, passband: int,
+    modules: int | None = None,
 ) -> None:
     """Refuse coefficients solved for a different kernel, hold period, signal
-    length N or passband half-width K."""
+    length N, passband half-width K or, when `modules` is given, module count M."""
     expected = (
         ("kernel_id", "kernel", solution.kernel_id, kernel_id),
         ("T", "period", solution.coeffs.period, period),
         ("N", "length N", solution.n, n),
         ("K", "passband K", solution.passband, passband),
+        ("M", "module count M", solution.coeffs.modules, modules),
     )
     for field, label, solved, wanted in expected:
-        if solved != wanted:
+        if wanted is not None and solved != wanted:
             raise CoeffFileError(
                 f"coefficients were solved for {label} {solved!r}, not {wanted!r}", field
             )

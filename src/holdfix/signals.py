@@ -246,7 +246,7 @@ def snr_db_array(
     n = reference.shape[-1]
     guard = int(guard_fraction * n + 1e-9)  # fp-safe floor
     if n - 2 * guard <= 0:
-        raise ValueError(f"guard {guard} per end leaves no interior samples")
+        raise FieldError(f"guard {guard} per end leaves no interior samples", "guard_fraction")
     ref = reference[..., guard : n - guard]
     err = ref - estimate[..., guard : n - guard]
     # (..., 1, n) @ (..., n, 1) gives each row's np.dot(row, row), bit for bit

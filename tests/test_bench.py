@@ -19,6 +19,7 @@ from holdfix.kernels import interpolate, kernel_from_id
 from holdfix.modular import classical_coeffs, comb_coeffs, reconstruct
 from holdfix.optimizer import assemble_system, solve_coefficients
 from holdfix.signals import (
+    FieldError,
     Passband,
     add_noise,
     gen_bandlimited,
@@ -107,8 +108,24 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(small_spec(), "magic", 1, None, 0)
 
+    @pytest.mark.parametrize("modules", [0, 1])
+    def test_comb_refuses_other_counts(self, modules):
+        with pytest.raises(FieldError) as info:
+            run_trial(small_spec(methods=("comb",)), "comb", modules, None, 0)
+        assert info.value.field == "M"
+
 
 class TestMethodCoeffs:
+    @pytest.mark.parametrize("period", [1, 2, 5, 8])
+    def test_comb_exists_only_at_its_own_count(self, period):
+        kernel, band = kernel_from_id("sh", period), Passband(0)
+        own = period // 2
+        assert method_coeffs("comb", kernel, 8 * period, own, band) == comb_coeffs(period)
+        for modules in {0, own - 1, own + 1, period} - {own}:
+            with pytest.raises(FieldError, match=f"not {modules}$") as info:
+                method_coeffs("comb", kernel, 8 * period, modules, band)
+            assert info.value.field == "M"
+
     def test_rewritten_custom_kernel_gets_fresh_weights(self, tmp_path):
         path = tmp_path / "taps.txt"
         kernel_id = f"custom:{path}"
@@ -177,6 +194,24 @@ class TestNoiseSweep:
         for method in ("classical", "optimized"):
             means = [r.mean_output_snr_db for r in rows if r.method == method]
             assert means == sorted(means)
+
+    def test_comb_rows_sit_at_own_count(self):
+        # the requested count applies to classical only; comb stays at floor(8/2)
+        spec = small_spec(kernel_id="li", period=8, n=256, k_sig=Passband(11),
+                          methods=("classical", "comb"), modules=(3,), trials=10,
+                          noise_snrs_db=(10.0, 40.0))
+        rows = run_noise_sweep(spec)
+        assert [(r.method, r.modules) for r in rows] == [
+            ("classical", 3), ("classical", 3), ("comb", 4), ("comb", 4),
+        ]
+        for row in rows[2:]:
+            snrs = np.minimum(
+                [run_trial(spec, "comb", 4, row.input_snr_db, i) for i in range(spec.trials)],
+                SNR_CLAMP_DB,
+            )
+            assert (row.mean_output_snr_db, row.std_output_snr_db) == (
+                float(snrs.mean()), float(snrs.std())
+            )
 
     def test_requires_noise_list(self):
         with pytest.raises(ValueError):
@@ -297,10 +332,9 @@ class TestEngineMatchesPublicPipeline:
             rows = run_noise_sweep(spec)
         expected = []
         for method in sorted(set(spec.methods)):
-            # a module sweep lists comb once, at its implied count; a noise
-            # sweep labels every row with the requested count
+            # both sweeps list comb once, at its own count floor(T/2)
             counts = sorted(spec.modules)
-            if method == "comb" and spec.noise_snrs_db is None:
+            if method == "comb":
                 counts = [comb_coeffs(spec.period).modules]
             expected += [oracle_row(spec, method, m, level) for m in counts for level in levels]
         assert rows == expected

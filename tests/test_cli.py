@@ -106,6 +106,14 @@ class TestReconstruct:
         value = out.split()[-1]
         assert value == "inf" or float(value) >= 200.0
 
+    def test_comb_accepts_its_own_count(self, capsys):
+        # any other --modules exits 2 (see ERROR_TABLE); floor(8/2) is the default
+        grid = ("--kernel", "sh", "--period", "8", "--length", "512", "--method", "comb")
+        assert run_cli("reconstruct", *grid) == 0
+        default = capsys.readouterr().out
+        assert run_cli("reconstruct", *grid, "--modules", "4") == 0
+        assert capsys.readouterr().out == default
+
     def test_coeff_file_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         run_cli("solve", "--kernel", "sh", "--period", "8", "--modules", "4",
@@ -352,6 +360,8 @@ ERROR_TABLE = [
     ("reconstruct --method comb --modules 99", "--modules"),
     ("reconstruct --method classical --modules -1", "--modules"),
     ("reconstruct --method comb --guard 0.7", "--guard"),
+    ("reconstruct --method comb --length 32 --period 16 --guard 0.49999999999999994", "--guard"),
+    ("reconstruct --method comb --modules 3 --period 8", "--modules"),
     ("reconstruct --method comb --length 100", "--length"),
     ("reconstruct --method comb --period 1 --length 1 --passband 0", "--length"),
     ("sweep-modules --kernel sh --period 4 --length 256 --modules 3", "--modules"),
@@ -500,7 +510,8 @@ class TestRepeatedCalls:
         assert run_cli("reconstruct", *grid, "--method", "optimized",
                        "--coeff-file", str(coeff_file)) == 0
         capsys.readouterr()
-        assert run_cli("reconstruct", *grid, "--method", "comb") == 0
+        # comb runs at its own count floor(T/2) = 4, so the grid's --modules 3 is dropped
+        assert run_cli("reconstruct", *grid[:-2], "--method", "comb") == 0
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out.startswith("snr_db ")
         assert build_parser().parse_args(["reconstruct", "--method", "comb"]).coeff_file is None

@@ -17,7 +17,7 @@ from holdfix.modular import (
     comb_coeffs,
     error_metric,
     max_modules,
-    modulation_kernel,
+    module_bank,
     passband_gain,
     reconstruct,
     replica_matrix,
@@ -62,40 +62,34 @@ class TestCoeffs:
 
 
 class TestModulationKernel:
+    """The periodic modulation kernel m[t]; `module_bank` gives one period."""
+
     def test_empty_weights_give_ones(self):
-        out = modulation_kernel(ModuleCoeffs(4, ()), 8)
-        np.testing.assert_array_equal(out.samples, np.ones(8))
+        out = module_bank(ModuleCoeffs(4, ()))
+        np.testing.assert_array_equal(out, np.ones(4))
 
     def test_half_weight_pair(self):
-        out = modulation_kernel(ModuleCoeffs(2, (0.5,)), 4)
-        np.testing.assert_allclose(out.samples, [2, 0, 2, 0], atol=1e-15)
+        out = module_bank(ModuleCoeffs(2, (0.5,)))
+        np.testing.assert_allclose(out, [2, 0], atol=1e-15)
 
     def test_two_unit_weights(self):
-        out = modulation_kernel(ModuleCoeffs(4, (1.0, 1.0)), 4)
-        np.testing.assert_allclose(out.samples, [5, -1, 1, -1], atol=1e-14)
+        out = module_bank(ModuleCoeffs(4, (1.0, 1.0)))
+        np.testing.assert_allclose(out, [5, -1, 1, -1], atol=1e-14)
 
     def test_comb_kernel_is_scaled_impulse_train(self):
         for period in (2, 3, 4, 8, 16):
-            out = modulation_kernel(comb_coeffs(period), 4 * period).samples
-            expected = np.zeros(4 * period)
-            expected[::period] = period
-            np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_divisibility(self):
-        with pytest.raises(ValueError):
-            modulation_kernel(ModuleCoeffs(3, (1.0,)), 8)
+            expected = np.zeros(period)
+            expected[0] = period
+            np.testing.assert_allclose(module_bank(comb_coeffs(period)), expected, atol=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(
         period=st.sampled_from([2, 4, 6, 8]),
         weights=st.lists(st.floats(-3, 3), min_size=0, max_size=2),
-        reps=st.integers(2, 4),
     )
-    def test_periodic_and_unit_mean(self, period, weights, reps):
+    def test_unit_mean(self, period, weights):
         coeffs = ModuleCoeffs(period, tuple(weights[: period // 2]))
-        out = modulation_kernel(coeffs, reps * period).samples
-        np.testing.assert_array_equal(out[:period], out[period : 2 * period])
-        assert np.mean(out[:period]) == pytest.approx(1.0, abs=1e-12)
+        assert np.mean(module_bank(coeffs)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReconstruct:

@@ -423,3 +423,17 @@ class TestCoeffStore:
         with pytest.raises(CoeffFileError, match="period"):
             check_solution_matches(loaded, "sh", 8, n=64, passband=7)
         check_solution_matches(loaded, "sh", 4, n=64, passband=7)  # the matching case passes
+
+    def test_module_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        store_coeffs(self._solution(), path)
+        loaded = load_coeffs(path)
+        m = loaded.coeffs.modules
+        with pytest.raises(CoeffFileError, match=f"module count M {m}, not {m - 1}") as info:
+            check_solution_matches(loaded, "sh", 4, n=64, passband=7, modules=m - 1)
+        assert info.value.field == "M"
+        # the other fields are checked first
+        with pytest.raises(CoeffFileError) as info:
+            check_solution_matches(loaded, "sh", 4, n=128, passband=7, modules=m - 1)
+        assert info.value.field == "N"
+        check_solution_matches(loaded, "sh", 4, n=64, passband=7, modules=m)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from holdfix.bench import SweepSpec
 from holdfix.kernels import frequency_response, interpolate_array, kernel_from_id, li_kernel, sh_kernel
-from holdfix.modular import ModuleCoeffs, comb_coeffs, modulation_kernel, passband_gain, reconstruct_array
+from holdfix.modular import ModuleCoeffs, comb_coeffs, passband_gain, reconstruct, reconstruct_array
 from holdfix.optimizer import assemble_system
 from holdfix.signals import (
     FieldError,
@@ -332,7 +332,7 @@ def _spec(**overrides):
     (lambda: interpolate_array(np.ones(4), li_kernel(4)), "N"),
     (lambda: frequency_response(li_kernel(4), 4), "N"),
     (lambda: reconstruct_array(np.ones(10), np.ones(4), Passband(1)), "N"),
-    (lambda: modulation_kernel(comb_coeffs(4), 10), "N"),
+    (lambda: reconstruct(Signal(np.ones(10)), comb_coeffs(4), Passband(1)), "N"),
     (lambda: ModuleCoeffs(4, (1.0, 1.0, 1.0)), "M"),
     (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 64, Passband(40)), "K"),
     (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 66, Passband(7)), "N"),
@@ -353,6 +353,8 @@ def _spec(**overrides):
     (lambda: _spec(trials=0), "trials"),
     (lambda: _spec(master_seed=-1), "master_seed"),
     (lambda: _spec(guard_fraction=0.5), "guard_fraction"),
+    (lambda: snr_db_array(np.ones(2), np.ones(2), 0.49999999999999994), "guard_fraction"),
+    (lambda: _spec(modules=()), "M"),
 ])
 def test_validation_errors_name_their_field(call, field):
     with pytest.raises(FieldError) as info:
