@@ -31,6 +31,7 @@ from .optimizer import (
     assemble_system,
     check_solution_matches,
     load_coeffs,
+    passband_energy,
     solve_coefficients,
     store_coeffs,
 )
@@ -117,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _default_passband(args) -> int:
+    if args.passband is not None:
+        return args.passband  # `Passband` refuses a negative one
     check_grid(period=args.period)
-    nyquist_bin = args.length // (2 * args.period)
-    k = args.passband if args.passband is not None else nyquist_bin - 1
+    k = args.length // (2 * args.period) - 1
     if k < 0:
-        raise FieldError(
-            f"passband half-width {k} is negative (is --length too small for --period?)", "K"
-        )
+        raise FieldError(f"passband half-width {k} is negative "
+                         "(is --length too small for --period?)", "K")
     return k
 
 
@@ -136,9 +137,7 @@ def _parse_module_list(text: str) -> tuple[int, ...]:
             values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise FieldError(f"cannot parse {text!r} (use a..b or m1,m2,...)", "M") from None
-    if not values:
-        raise FieldError("empty list", "M")
-    return tuple(values)
+    return tuple(values)  # `SweepSpec` refuses an empty list
 
 
 def _parse_snrs(text: str) -> tuple[float, ...]:
@@ -151,9 +150,12 @@ def _parse_snrs(text: str) -> tuple[float, ...]:
 def cmd_solve(args) -> int:
     kernel = kernel_from_id(args.kernel, args.period)
     band = Passband(_default_passband(args))
-    solution = solve_coefficients(assemble_system(kernel, args.length, args.modules, band))
+    system = assemble_system(kernel, args.length, args.modules, band)
+    solution = solve_coefficients(system)
     store_coeffs(solution, args.out)
-    if solution.rank_deficient:
+    # many rank-deficient systems still fit exactly, to within rounding
+    floor = sys.float_info.epsilon * passband_energy(system.target)
+    if solution.rank_deficient and solution.residual > floor:
         print("warning: design system is rank deficient; minimum-norm solution stored",
               file=sys.stderr)
     print(f"kernel {kernel.id} period {args.period} modules {args.modules}: "

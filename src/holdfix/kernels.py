@@ -4,6 +4,9 @@ Built-in kernels: causal sample-and-hold (`sh`), zero-phase linear
 interpolation (`li`) and the general nth-order hold (`hold:<n>`, the
 (n+1)-fold self-convolution of a rectangle). Taps always sum to the hold
 period, so dividing a replica sum by the period gives unit DC gain.
+`InterpKernel` is the one check of a usable kernel: it also bounds the taps'
+absolute sum by _TAP_SUM_RTOL * T / eps (7.2e7 at T = 16), past which rounding
+can hide whether they sum to T. So no kernel's response |H(k)| overflows.
 
 Convolution is circular (the whole analysis lives on N-point DFTs) and
 polyphase: only the phases mod T that hold a nonzero sample are convolved, so
@@ -52,11 +55,12 @@ class InterpKernel:
         taps = np.array(self.taps, dtype=float)
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("kernel taps must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("kernel taps must all be finite")
         if not 0 <= self.origin < taps.size:
             raise ValueError(f"origin {self.origin} outside taps [0, {taps.size})")
         check_grid(period=self.period)
+        limit = _TAP_SUM_RTOL * self.period / np.finfo(float).eps
+        if not np.abs(taps / limit).sum() <= 1.0:  # scaled, so huge taps cannot overflow
+            raise ValueError(f"kernel taps' absolute sum is not finite or exceeds {limit:.3g}")
         total = float(taps.sum())
         if abs(total - self.period) > _TAP_SUM_RTOL * self.period:
             raise ValueError(
@@ -87,9 +91,8 @@ def nth_order_hold(order: int, period: int) -> InterpKernel:
     if order < 0:
         raise ValueError("hold order must be >= 0")
     taps = np.ones(period)
-    for _ in range(order):
-        taps = np.convolve(taps, np.ones(period))
-    taps = taps / float(period) ** order
+    for _ in range(order):  # normalized at each step, so no order overflows
+        taps = np.convolve(taps, np.ones(period)) / period
     origin = 0 if order == 0 else (taps.size - 1) // 2
     return InterpKernel(taps, origin, period, f"hold:{order}")
 

@@ -19,8 +19,8 @@ N = 65536). A `DesignSystem` holds the entry's own read-only arrays, its
 matrix a view of the first M columns, so nothing is copied per call and every
 M is bit-identical to a fresh build. This cache, `_full_system`, is the
 package's only design cache: solved weights are not cached, since a solve
-from cached columns is one small lstsq. `solve_coefficients` refuses a system
-with a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
+from cached columns is one small lstsq. `solve_coefficients` refuses a hand-built
+system with a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
@@ -133,43 +133,40 @@ def _full_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (matrix, target) at floor(period/2) modules over bins 0..k_max."""
     kernel = InterpKernel(np.frombuffer(taps), origin, period, "replica system")
-    # an overflowing kernel response is refused by `solve_coefficients`
-    with np.errstate(over="ignore", invalid="ignore"):
-        base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
-        deficit = 1.0 - base
+    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
+    deficit = 1.0 - base
     system = (np.vstack([rows.real, rows.imag]), np.concatenate([deficit.real, deficit.imag]))
     for array in system:
         array.setflags(write=False)
     return system
 
 
+def passband_energy(stacked: np.ndarray) -> float:
+    """Full-passband energy of a real-stacked vector: bin 0 once, bins 1..K twice."""
+    per_bin = (stacked.reshape(2, -1) ** 2).sum(axis=0)  # |bin k|^2, k = 0..K
+    return float(per_bin[0] + 2.0 * per_bin[1:].sum())
+
+
 def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     """Minimum-norm least-squares solve of the stacked system.
 
-    The reported residual is in full-passband units: the bin-0 term counted
-    once plus twice every k >= 1 term, matching `error_metric` evaluated at
-    the returned coefficients. A rank-deficient matrix still yields the
-    minimum-norm solution, flagged rather than silently returned.
+    The reported residual is the `passband_energy` of the stacked error,
+    matching `error_metric` evaluated at the returned coefficients. A
+    rank-deficient matrix still yields the minimum-norm solution, flagged
+    rather than silently returned.
     """
     matrix, target = system.matrix, system.target
     # LAPACK would print DLASCL errors on a non-finite entry and return garbage
     if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
         raise ValueError("design system entries must all be finite")
-    modules = matrix.shape[1]
     c, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    half = matrix.shape[0] // 2
-    # an overflowing residual is refused by `CoeffSolution`
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked_residual = matrix @ c - target
-        per_bin = stacked_residual[:half] ** 2 + stacked_residual[half:] ** 2
-        residual = float(per_bin[0] + 2.0 * per_bin[1:].sum())
     return CoeffSolution(
         coeffs=ModuleCoeffs(system.period, tuple(float(v) for v in c)),
-        residual=residual,
+        residual=passband_energy(matrix @ c - target),
         kernel_id=system.kernel_id,
         n=system.n,
         passband=system.passband,
-        rank_deficient=rank < modules,
+        rank_deficient=rank < matrix.shape[1],
     )
 
 

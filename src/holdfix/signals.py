@@ -62,7 +62,7 @@ class Passband:
     def __post_init__(self):
         k = int(self.half_width_bins)
         if k < 0:
-            raise ValueError("passband half-width must be non-negative")
+            raise FieldError(f"passband half-width must be >= 0, got {k}", "K")
         object.__setattr__(self, "half_width_bins", k)
 
 
@@ -133,10 +133,7 @@ def lowpass_array(samples: np.ndarray, band: Passband) -> np.ndarray:
     """`ideal_lowpass` of every signal along the last axis of `samples`."""
     n = samples.shape[-1]
     check_grid(n, band=band)
-    k = band.half_width_bins
-    spectrum = np.fft.rfft(samples)
-    spectrum[..., k + 1 :] = 0.0
-    return np.fft.irfft(spectrum, n=n)
+    return np.fft.irfft(np.fft.rfft(samples)[..., : band.half_width_bins + 1], n=n)
 
 
 def ideal_lowpass(x: Signal, band: Passband) -> Signal:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +45,33 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+class TestKernelsUpToTheTapBound:
+    """A custom kernel whose taps spread up to `InterpKernel`'s bound keeps
+    every downstream number finite, with no numpy warning."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(period=st.sampled_from([2, 4, 8, 16]), share=st.floats(0.0, 1.0),
+           order=st.permutations([0, 1, 2]), origin=st.integers(0, 2))
+    def test_system_and_sweep_stay_finite(self, tmp_path_factory, period, share, order, origin):
+        bound = 1e-9 * period / np.finfo(float).eps  # 7.2e7 at T = 16
+        spread = share * (bound - period) / 2
+        taps = np.array([spread, -spread, float(period)])[list(order)]
+        kernel_file = tmp_path_factory.mktemp("kernel") / "taps.txt"
+        kernel_file.write_text(" ".join(repr(float(t)) for t in taps) + f"\norigin={origin}\n")
+        kernel_id = f"custom:{kernel_file}"
+        n = 32 * period
+        spec = small_spec(kernel_id=kernel_id, period=period, n=n,
+                          k_sig=Passband(n // (2 * period) - 1), methods=METHODS,
+                          modules=tuple(range(1, period // 2 + 1)), trials=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = assemble_system(kernel_from_id(kernel_id, period), n, period // 2,
+                                     spec.k_sig)
+            rows = run_module_sweep(spec)
+        assert np.isfinite(system.matrix).all() and np.isfinite(system.target).all()
+        assert all(np.isfinite(row.mean_output_snr_db) for row in rows)
 
 
 class TestSweepSpec:

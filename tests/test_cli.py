@@ -7,8 +7,8 @@ import pytest
 from holdfix import kernels
 from holdfix.bench import SweepSpec, run_trial
 from holdfix.cli import build_parser, main
-from holdfix.kernels import custom_kernel
-from holdfix.optimizer import load_coeffs
+from holdfix.kernels import custom_kernel, kernel_from_id
+from holdfix.optimizer import assemble_system, load_coeffs, solve_coefficients
 from holdfix.signals import Passband
 
 
@@ -42,33 +42,48 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "maximum 2" in err and "--modules" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("taps, modules", [("1e300 -1e300 16", "8"),
                                                ("1e308 -1e308 16", "2")])
-    def test_overflowing_residual_exits_1_without_file(self, taps, modules, tmp_path, capsys):
+    def test_overflowing_kernel_exits_2_without_file(self, taps, modules, tmp_path, capsys):
         kernel_file = tmp_path / "taps.txt"
         kernel_file.write_text(f"{taps}\norigin=0\n")
         out = tmp_path / "c.json"
-        code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
-                       "--modules", modules, "--length", "256", "--out", str(out))
-        assert code == 1
-        assert "error: residual must be finite and >= 0, got inf" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
+                           "--modules", modules, "--length", "256", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kernel: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("taps, modules", [("1e300 -1e300 16", "8"),
                                                ("1e308 -1e308 16", "2")])
     def test_overflowing_kernel_prints_no_numpy_warning(self, taps, modules, tmp_path, capsys):
-        # a length no other test uses, so the replica system is built here, not cached
         kernel_file = tmp_path / "taps.txt"
         kernel_file.write_text(f"{taps}\norigin=0\n")
+        out = tmp_path / "c.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
-                           "--modules", modules, "--length", "512",
-                           "--out", str(tmp_path / "c.json"))
-        assert code == 1
-        assert capsys.readouterr().err == "error: residual must be finite and >= 0, got inf\n"
+                           "--modules", modules, "--length", "512", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --kernel: kernel taps' absolute sum is not finite or exceeds 7.21e+07\n"
+        )
+        assert not out.exists()
+
+    def test_rank_warning_only_where_rounding_cannot_explain_residual(self, tmp_path, capsys):
+        # sh at M = 7 is rank deficient but solved to round-off; hold:2 at M = 8 is not
+        for kernel, modules, warned in (("sh", "7", False), ("hold:2", "8", True)):
+            code = run_cli("solve", "--kernel", kernel, "--period", "16", "--modules", modules,
+                           "--length", "65536", "--out", str(tmp_path / "c.json"))
+            assert code == 0
+            system = assemble_system(kernel_from_id(kernel, 16), 65536, int(modules),
+                                     Passband(2047))
+            assert solve_coefficients(system).rank_deficient
+            err = capsys.readouterr().err
+            assert ("design system is rank deficient" in err) is warned
 
     def test_missing_out_directory_names_out_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -336,6 +351,76 @@ class TestSweeps:
         assert "--trials" in capsys.readouterr().err
 
 
+class TestUnusableKernel:
+    COMMANDS = {
+        "solve": ["--modules", "2", "--length", "256"],
+        "reconstruct": ["--method", "optimized", "--length", "256"],
+        "sweep-modules": ["--trials", "3", "--length", "256"],
+        "sweep-noise": ["--trials", "3", "--length", "256"],
+        "show-kernel": [],
+    }
+
+    @pytest.mark.parametrize("taps", ["1e308 -1e308 16", "1e300 -1e300 16"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_refuses_it_naming_kernel(self, command, taps, tmp_path, capsys):
+        kernel_file = tmp_path / "taps.txt"
+        kernel_file.write_text(f"{taps}\norigin=0\n")
+        argv = [command, "--kernel", f"custom:{kernel_file}", "--period", "16",
+                *self.COMMANDS[command]]
+        if command in ("solve", "sweep-modules", "sweep-noise"):
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --kernel: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["taps.txt"]
+
+    def test_high_order_hold_is_an_ordinary_long_kernel(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("show-kernel", "--kernel", "hold:300", "--period", "16") == 0
+            assert "taps " in capsys.readouterr().out
+            code = run_cli("solve", "--kernel", "hold:300", "--period", "16", "--modules", "2",
+                           "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --length: kernel has 4516 taps")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_accepted_spread_runs_without_warnings_or_nan(self, tmp_path, capsys):
+        kernel_file = tmp_path / "taps.txt"
+        kernel_file.write_text("3.6e7 -3.6e7 16\norigin=0\n")
+        grid = ["--kernel", f"custom:{kernel_file}", "--period", "16", "--length", "256"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("solve", *grid, "--modules", "8",
+                           "--out", str(tmp_path / "c.json")) == 0
+            assert run_cli("reconstruct", *grid, "--method", "optimized") == 0
+            for command in ("sweep-modules", "sweep-noise"):
+                assert run_cli(command, *grid, "--trials", "3", "--methods",
+                               "classical,comb,optimized",
+                               "--out", str(tmp_path / f"{command}.csv")) == 0
+        assert "nan" not in capsys.readouterr().out
+        for command in ("sweep-modules", "sweep-noise"):
+            assert "nan" not in (tmp_path / f"{command}.csv").read_text()
+
+
+class TestPassbandHint:
+    def test_explicit_negative_passband_gives_no_length_hint(self, capsys):
+        assert run_cli("reconstruct", "--method", "comb", "--passband", "-5") == 2
+        assert capsys.readouterr().err == (
+            "error: --passband: passband half-width must be >= 0, got -5\n"
+        )
+
+    def test_default_passband_blames_length(self, capsys):
+        assert run_cli("reconstruct", "--method", "comb", "--length", "16") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --passband: ")
+        assert "(is --length too small for --period?)" in err
+
+
 # Each row: a command line whose validation must fail, and the flag at fault.
 ERROR_TABLE = [
     ("reconstruct --method comb --passband 5000", "--passband"),
@@ -373,6 +458,8 @@ ERROR_TABLE = [
     ("sweep-modules --length 100", "--length"),
     ("sweep-modules --period 2 --length -4 --passband 0", "--length"),
     ("sweep-modules --passband -1", "--passband"),
+    ("reconstruct --method comb --passband -5", "--passband"),
+    ("sweep-modules --modules , --trials 2", "--modules"),
     ("sweep-noise --modules 9", "--modules"),
     ("sweep-noise --snrs ten", "--snrs"),
     ("sweep-noise --snrs=", "--snrs"),

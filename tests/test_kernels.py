@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ class TestKernelType:
         with pytest.raises(ValueError):
             InterpKernel([], 0, 1, "bad")
 
+    def test_tap_spread_up_to_the_rounding_bound_is_accepted(self):
+        # the bound at T = 16 is 1e-9 * 16 / eps = 7.2e7; these taps spread 7.2e7 + 16
+        kernel = InterpKernel([3.6e7, -3.6e7, 16.0], 0, 16, "custom:spread")
+        assert kernel.taps.sum() == 16.0
+
+    @pytest.mark.parametrize("taps", [[1e300, -1e300, 16.0], [1e308, -1e308, 16.0],
+                                      [3.7e7, -3.7e7, 16.0], [np.inf, 16.0]])
+    def test_tap_spread_past_the_rounding_bound_is_refused(self, taps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="absolute sum is not finite or exceeds 7.21e"):
+                InterpKernel(taps, 0, 16, "custom:huge")
+
 
 class TestBuiltins:
     @pytest.mark.parametrize("period", [1, 2, 3, 5, 16])
@@ -207,6 +221,21 @@ class TestBuiltins:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             nth_order_hold(-1, 4)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("period", [2, 4, 8, 16, 32, 64])
+    def test_hold_taps_match_one_final_normalization(self, order, period):
+        # normalizing by T at each convolution is exact at power-of-two periods
+        taps = np.ones(period)
+        for _ in range(order):
+            taps = np.convolve(taps, np.ones(period))
+        assert np.array_equal(nth_order_hold(order, period).taps, taps / float(period) ** order)
+
+    def test_high_orders_do_not_overflow(self):
+        kernel = nth_order_hold(300, 16)
+        assert kernel.taps.size == 301 * 15 + 1
+        assert np.all(np.isfinite(kernel.taps))
+        assert kernel.taps.sum() == pytest.approx(16.0, rel=1e-12)
 
     @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:0", "hold:2", "hold:3"])
     @pytest.mark.parametrize("period", [2, 4, 8])

@@ -276,15 +276,15 @@ class TestSolve:
             solve_coefficients(hand_built)
         assert "DLASCL" not in capfd.readouterr().err
 
-    @pytest.mark.parametrize("taps, modules", [([1e300, -1e300, 16.0], 8),
-                                               ([1e308, -1e308, 16.0], 2)])
+    @pytest.mark.parametrize("taps, modules", [(np.ones(16), 8), ([2.0, 14.0], 2)])
     def test_refuses_overflowing_residual(self, taps, modules):
-        # the weights are finite, but the replica-sum error overflows to inf
-        kernel = InterpKernel(taps, 0, 16, "custom:huge")
-        with np.errstate(over="ignore", invalid="ignore"):
-            system = assemble_system(kernel, 256, modules, Passband(7))
+        # a hand-built system with entries near 1e200: the weights are finite,
+        # but the replica-sum error overflows to inf
+        system = assemble_system(InterpKernel(taps, 0, 16, "custom:t"), 256, modules, Passband(7))
+        huge = replace(system, matrix=system.matrix * 1e200, target=system.target * 1e200)
+        with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="residual must be finite"):
-                solve_coefficients(system)
+                solve_coefficients(huge)
 
     @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -1.0])
     def test_solution_residual_must_be_finite_and_non_negative(self, residual):

@@ -101,6 +101,14 @@ class TestIdealLowpass:
         assert np.linalg.norm(twice.samples - once.samples) <= 1e-12 * max(scale, 1.0)
         assert np.sum(once.samples**2) <= np.sum(x.samples**2) * (1 + 1e-12) + 1e-12
 
+    @pytest.mark.parametrize("shape, k", [((8, 2048), 63), ((2**17,), 2047), ((2047,), 100),
+                                          ((3, 64), 0), ((16,), 8)])
+    def test_bit_identical_to_zeroing_the_dropped_bins(self, shape, k):
+        x = np.random.default_rng(k).standard_normal(shape)
+        spectrum = np.fft.rfft(x)
+        spectrum[..., k + 1 :] = 0.0
+        assert np.array_equal(lowpass_array(x, Passband(k)), np.fft.irfft(spectrum, n=shape[-1]))
+
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_projection_of_bandlimited(self, seed):
@@ -355,6 +363,7 @@ def _spec(**overrides):
     (lambda: _spec(guard_fraction=0.5), "guard_fraction"),
     (lambda: snr_db_array(np.ones(2), np.ones(2), 0.49999999999999994), "guard_fraction"),
     (lambda: _spec(modules=()), "M"),
+    (lambda: Passband(-1), "K"),
 ])
 def test_validation_errors_name_their_field(call, field):
     with pytest.raises(FieldError) as info:
