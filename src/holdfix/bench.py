@@ -5,8 +5,8 @@ signal is seeded with master_seed + trial_index and, when an input SNR is
 requested, the injected noise with that value plus _NOISE_SEED_OFFSET.
 Results are therefore identical whatever order or grouping trials run in.
 Each sweep builds its kernel once and solves the optimized weights of each
-distinct (method, modules) pair once, reading the columns off the optimizer's
-cached replica system of that kernel and grid; the harness keeps no cache of
+distinct (method, modules) pair once, reading the columns off the cached
+`modular.replica_system` of that kernel and grid; the harness keeps no cache of
 its own. `method_coeffs` is the one place a (method, modules) pair becomes
 weights: comb weights exist only at their own count floor(T/2), so both
 sweeps list comb once, at that count, whatever modules the spec requests.
@@ -21,9 +21,9 @@ only mixes that array with its module bank, lowpass filters it and scores
 all its trials in one `snr_db_array` call. The array cores are the ones
 behind `gen_bandlimited`, `add_noise`, `sample_train`, `interpolate`,
 `reconstruct` and `snr_db`, so every value is bit-identical to running the
-trial alone; `run_trial` is the engine applied to one trial. The three
-headline CSVs take about 0.35 s (median build of ten benchmark runs,
-quartiles 0.34-0.35 s) on one core of a 2-vCPU Intel Xeon host.
+trial alone; `run_trial` is the engine applied to one trial. The median
+build time of the three headline CSVs is the `latency_p50_ms` that
+`perfbench/run.py --workload headline` reports.
 
 Per-trial SNRs of +inf (exact recovery) are clamped to SNR_CLAMP_DB before
 averaging; finite values above the clamp are clamped too, so no output ever

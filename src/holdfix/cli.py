@@ -25,13 +25,12 @@ from .bench import (
     write_csv,
 )
 from .kernels import interpolate, kernel_from_id
-from .modular import max_modules, reconstruct
+from .modular import max_modules, passband_energy, reconstruct
 from .optimizer import (
     CoeffFileError,
     assemble_system,
     check_solution_matches,
     load_coeffs,
-    passband_energy,
     solve_coefficients,
     store_coeffs,
 )

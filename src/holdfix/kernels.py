@@ -94,7 +94,9 @@ def nth_order_hold(order: int, period: int) -> InterpKernel:
     for _ in range(order):  # normalized at each step, so no order overflows
         taps = np.convolve(taps, np.ones(period)) / period
     origin = 0 if order == 0 else (taps.size - 1) // 2
-    return InterpKernel(taps, origin, period, f"hold:{order}")
+    # high orders underflow their edge taps to exactly 0: keep the nonzero run
+    first, last = np.flatnonzero(taps)[[0, -1]].tolist()
+    return InterpKernel(taps[first : last + 1], origin - first, period, f"hold:{order}")
 
 
 def custom_kernel(path: str | Path, period: int) -> InterpKernel:

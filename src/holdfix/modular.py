@@ -12,15 +12,23 @@ j + period/2 aliases onto the one at harmonic j (with alternating sign), so
 further modules only distort the bank.
 
 In the frequency domain weight j scales the folded replica pair
-H(k - j N/T) + H(k + j N/T) of the kernel response H. `replica_matrix`
-builds those pairs; `passband_gain` and the optimizer's design system are
-both read off it.
+H(k - j N/T) + H(k + j N/T) of the kernel response H, so the passband gain
+is affine in the weights. `replica_system` gathers those pairs and the
+unity-gain deficit with one FFT per kernel and grid, at floor(T/2) modules on
+bins 0..K, and every M reads the first M columns. `passband_gain`,
+`error_metric` and the optimizer's design system all read that gather. It is
+kept, read-only, in a least-recently-used cache of _SYSTEM_CACHE_SIZE (16)
+entries of about 4N bytes (256 KiB at N = 65536), keyed on the kernel's taps
+and origin (never its id, so a rewritten custom kernel file is rebuilt),
+period, N and K: the package's only design cache. Solved weights are not
+cached, since a solve from cached columns is one small lstsq.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +42,15 @@ __all__ = [
     "comb_coeffs",
     "module_bank",
     "reconstruct",
-    "replica_matrix",
+    "replica_system",
+    "passband_energy",
     "passband_gain",
     "error_metric",
 ]
+
+# Replica systems kept by `replica_system`: one per (kernel, period) of the
+# benchmark design grid.
+_SYSTEM_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -103,24 +116,55 @@ def reconstruct(s: Signal, coeffs: ModuleCoeffs, band: Passband) -> Signal:
     return Signal(reconstruct_array(s.samples, module_bank(coeffs), band))
 
 
-def replica_matrix(
-    kernel: InterpKernel, n: int, bins: np.ndarray, modules: int
+@lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
+def _replica_system(
+    taps: bytes, origin: int, period: int, n: int, k_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`(base, pairs)` at the integer DFT `bins` k (taken mod N): base = H(k)/T
-    and column j-1 of pairs = (H(k - j N/T) + H(k + j N/T))/T, j = 1..modules.
-
-    A pair is (1/T) times the DFT of taps * 2 cos(2 pi j t / T). For even T
-    and j = T/2 both shifts hit one bin and the pair doubles, which is why
-    the comb weights halve that term.
-    """
-    period = kernel.period
-    check_grid(n, period, modules=modules)
+    kernel = InterpKernel(np.frombuffer(taps), origin, period, "replica system")
     normalized = frequency_response(kernel, n) / period
+    k, j = np.arange(k_max + 1)[:, None], np.arange(1, max_modules(period) + 1)
     shift = n // period
-    bins = np.asarray(bins)
-    k, j = bins[:, None], np.arange(1, modules + 1)
     pairs = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
-    return normalized[bins % n], pairs
+    deficit = 1.0 - normalized[: k_max + 1]
+    system = (np.vstack([pairs.real, pairs.imag]), np.concatenate([deficit.real, deficit.imag]))
+    for array in system:
+        array.setflags(write=False)
+    return system
+
+
+def replica_system(
+    kernel: InterpKernel, n: int, band: Passband
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, real-stacked `(pairs, deficit)` of `kernel` on bins k = 0..K.
+
+    Column j-1 of pairs holds (H(k - j N/T) + H(k + j N/T))/T for
+    j = 1..floor(T/2), deficit holds 1 - H(k)/T; rows 0..K are the real
+    parts, rows K+1..2K+1 the imaginary parts. A pair is (1/T) times the DFT
+    of taps * 2 cos(2 pi j t / T); for even T and j = T/2 both shifts hit one
+    bin and the pair doubles, which is why the comb weights halve that term.
+    """
+    check_grid(n, kernel.period, band=band)
+    return _replica_system(
+        kernel.taps.tobytes(), kernel.origin, kernel.period, n, band.half_width_bins
+    )
+
+
+def passband_energy(stacked: np.ndarray) -> float:
+    """Full-passband energy of a real-stacked vector: bin 0 once, bins 1..K twice."""
+    per_bin = (stacked.reshape(2, -1) ** 2).sum(axis=0)  # |bin k|^2, k = 0..K
+    return float(per_bin[0] + 2.0 * per_bin[1:].sum())
+
+
+def _replica_error(
+    kernel: InterpKernel, coeffs: ModuleCoeffs, n: int, band: Passband
+) -> np.ndarray:
+    """Real-stacked G(k) - 1 on bins 0..K: pairs @ c - deficit."""
+    if coeffs.period != kernel.period:
+        raise ValueError(
+            f"kernel period {kernel.period} does not match coefficient period {coeffs.period}"
+        )
+    pairs, deficit = replica_system(kernel, n, band)
+    return pairs[:, : coeffs.modules] @ np.array(coeffs.c) - deficit
 
 
 def passband_gain(
@@ -129,18 +173,16 @@ def passband_gain(
     """Effective passband transfer function G(k), returned for k = -K..K.
 
     G(k) = (1/period) * sum_{j=-M..M} c_|j| H((k - j n/period) mod n) with
-    c_0 = 1, that is base + pairs @ c from `replica_matrix`. Reconstruction
-    of a signal band-limited inside the sampling Nyquist bin satisfies
-    X_hat(k) = G(k) X(k), so unit gain on the band means perfect recovery.
+    c_0 = 1, that is 1 + pairs @ c - deficit from `replica_system` on bins
+    0..K, mirrored to the negative bins as G(-k) = conj(G(k)) (the taps are
+    real). Reconstruction of a signal band-limited inside the sampling
+    Nyquist bin satisfies X_hat(k) = G(k) X(k), so unit gain on the band means
+    perfect recovery.
     """
-    if coeffs.period != kernel.period:
-        raise ValueError(
-            f"kernel period {kernel.period} does not match coefficient period {coeffs.period}"
-        )
-    check_grid(n, band=band)
-    k_max = band.half_width_bins
-    base, pairs = replica_matrix(kernel, n, np.arange(-k_max, k_max + 1), coeffs.modules)
-    return base + pairs @ np.array(coeffs.c)
+    error = _replica_error(kernel, coeffs, n, band).reshape(2, -1)
+    gain = 1.0 + (error[0] + 1j * error[1])
+    gain[0] = gain[0].real  # real taps: G(0) is real, the FFT may leave imaginary rounding
+    return np.concatenate([np.conj(gain[:0:-1]), gain])
 
 
 def error_metric(
@@ -150,7 +192,8 @@ def error_metric(
 
     The magnitude square makes the metric meaningful for causal kernels,
     whose responses are complex; for zero-phase kernels it reduces to a plain
-    square.
+    square. It is the `passband_energy` of pairs @ c - deficit, the very
+    expression `optimizer.solve_coefficients` stores as its residual, so a
+    stored residual equals this metric at the stored weights exactly.
     """
-    gain = passband_gain(kernel, coeffs, n, band)
-    return float(np.sum(np.abs(gain - 1.0) ** 2))
+    return passband_energy(_replica_error(kernel, coeffs, n, band))

@@ -1,26 +1,13 @@
 """Least-squares design of module weights from kernel replica responses.
 
-The passband gain is affine in the module weights: weight j scales the
-folded replica pair H((k - j n/T)) + H((k + j n/T)). Sampling those pairs on
-the non-negative passband bins (`modular.replica_matrix`) and stacking real
-and imaginary parts gives an overdetermined real system A c = b whose
-least-squares solution minimizes the replica-sum error. Negative bins are
-conjugate duplicates of positive ones for real-tapped kernels, so they are
-folded into the residual bookkeeping (weight 2 on every k >= 1 term)
-instead of the matrix.
-
-Column j of the system does not depend on M, so the system for M modules is
-exactly the first M columns of the one for floor(T/2). `assemble_system`
-builds that full system once per kernel and grid and keeps it, read-only, in
-a least-recently-used cache of _SYSTEM_CACHE_SIZE (16) entries keyed on the
-kernel's taps and origin (never its id, so a rewritten custom kernel file is
-rebuilt), period, N and K. An entry holds about 4N bytes (256 KiB at
-N = 65536). A `DesignSystem` holds the entry's own read-only arrays, its
-matrix a view of the first M columns, so nothing is copied per call and every
-M is bit-identical to a fresh build. This cache, `_full_system`, is the
-package's only design cache: solved weights are not cached, since a solve
-from cached columns is one small lstsq. `solve_coefficients` refuses a hand-built
-system with a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
+The design system is `modular.replica_system`: the real-stacked replica
+pairs and unity-gain deficit on bins 0..K, whose least-squares solution
+minimizes the replica-sum error (negative bins are conjugates of positive
+ones, so `modular.passband_energy` counts every k >= 1 term twice). A
+`DesignSystem` holds that cache's own read-only arrays, its matrix a view of
+the first M columns, and the stored residual is exactly `modular.error_metric`
+at the stored weights. `solve_coefficients` refuses a hand-built system with
+a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused.
@@ -33,14 +20,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import InterpKernel
-from .modular import ModuleCoeffs, replica_matrix
-from .signals import FieldError, Passband, check_grid, max_modules
+from .modular import ModuleCoeffs, passband_energy, replica_system
+from .signals import FieldError, Passband, check_grid
 
 __all__ = [
     "DesignSystem",
@@ -56,10 +42,6 @@ __all__ = [
 
 COEFF_SCHEMA = "holdfix-coeffs/1"
 
-# Full replica systems kept by `assemble_system`: one per (kernel, period) of
-# the benchmark design grid.
-_SYSTEM_CACHE_SIZE = 16
-
 
 class CoeffFileError(FieldError):
     """Raised when a coefficient lookup file is unusable or mismatched.
@@ -71,12 +53,8 @@ class CoeffFileError(FieldError):
 
 @dataclass(frozen=True, eq=False)
 class DesignSystem:
-    """Real-stacked least-squares system for the module weights.
-
-    Rows 0..K of `matrix` hold the real parts of the folded replica
-    responses on bins 0..K, rows K+1..2K+1 the imaginary parts; `target`
-    stacks the matching parts of the unity-gain deficit 1 - H(k)/period.
-    """
+    """Real-stacked least-squares system for the module weights: `matrix` is
+    the first M columns of `modular.replica_system`'s pairs, `target` its deficit."""
 
     matrix: np.ndarray
     target: np.ndarray
@@ -108,50 +86,26 @@ def assemble_system(
     """Build the stacked system whose LS solution minimizes the replica error.
 
     Minimizing ||matrix @ c - target||^2 over real c minimizes
-    sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period.
-
-    The matrix is the first `modules` columns of the cached floor(T/2)-module
-    system of this kernel and grid (see the module docstring): at most 16
-    systems of about 4N bytes each are kept.
+    sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period. The
+    arrays are views of the cached `modular.replica_system`, not copies.
     """
     check_grid(n, kernel.period, band=band, modules=modules, fewest_modules=1)
-    k_max = band.half_width_bins
-    matrix, target = _full_system(kernel.taps.tobytes(), kernel.origin, kernel.period, n, k_max)
+    matrix, target = replica_system(kernel, n, band)
     return DesignSystem(
         matrix=matrix[:, :modules],
         target=target,
         kernel_id=kernel.id,
         period=kernel.period,
         n=n,
-        passband=k_max,
+        passband=band.half_width_bins,
     )
-
-
-@lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
-def _full_system(
-    taps: bytes, origin: int, period: int, n: int, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (matrix, target) at floor(period/2) modules over bins 0..k_max."""
-    kernel = InterpKernel(np.frombuffer(taps), origin, period, "replica system")
-    base, rows = replica_matrix(kernel, n, np.arange(k_max + 1), max_modules(period))
-    deficit = 1.0 - base
-    system = (np.vstack([rows.real, rows.imag]), np.concatenate([deficit.real, deficit.imag]))
-    for array in system:
-        array.setflags(write=False)
-    return system
-
-
-def passband_energy(stacked: np.ndarray) -> float:
-    """Full-passband energy of a real-stacked vector: bin 0 once, bins 1..K twice."""
-    per_bin = (stacked.reshape(2, -1) ** 2).sum(axis=0)  # |bin k|^2, k = 0..K
-    return float(per_bin[0] + 2.0 * per_bin[1:].sum())
 
 
 def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     """Minimum-norm least-squares solve of the stacked system.
 
     The reported residual is the `passband_energy` of the stacked error,
-    matching `error_metric` evaluated at the returned coefficients. A
+    exactly `error_metric` evaluated at the returned coefficients. A
     rank-deficient matrix still yields the minimum-norm solution, flagged
     rather than silently returned.
     """

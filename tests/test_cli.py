@@ -385,9 +385,11 @@ class TestUnusableKernel:
             assert "taps " in capsys.readouterr().out
             code = run_cli("solve", "--kernel", "hold:300", "--period", "16", "--modules", "2",
                            "--out", str(tmp_path / "c.json"))
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: --length: kernel has 4516 taps")
-        assert not (tmp_path / "c.json").exists()
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: --length: kernel has 4464 taps")
+            assert not (tmp_path / "c.json").exists()
+            assert run_cli("solve", "--kernel", "hold:300", "--period", "16", "--modules", "2",
+                           "--length", "4464", "--out", str(tmp_path / "c.json")) == 0
 
     def test_accepted_spread_runs_without_warnings_or_nan(self, tmp_path, capsys):
         kernel_file = tmp_path / "taps.txt"

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holdfix import optimizer
-from holdfix.kernels import InterpKernel, kernel_from_id, li_kernel, sh_kernel
+from holdfix import modular
+from holdfix.kernels import InterpKernel, frequency_response, kernel_from_id, li_kernel, sh_kernel
 from holdfix.modular import (
     ModuleCoeffs,
     classical_coeffs,
     error_metric,
     max_modules,
-    replica_matrix,
+    replica_system,
 )
 from holdfix.optimizer import (
     COEFF_SCHEMA,
@@ -42,16 +42,32 @@ GRID = [
 ]
 
 
+def loop_replicas(kernel, n, k_max):
+    """Oracle: H(k)/T and the folded replica pairs on bins 0..K, built one
+    module at a time."""
+    normalized = frequency_response(kernel, n) / kernel.period
+    shift, k = n // kernel.period, np.arange(k_max + 1)
+    pairs = np.empty((k_max + 1, max_modules(kernel.period)), dtype=complex)
+    for j in range(1, pairs.shape[1] + 1):
+        pairs[:, j - 1] = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
+    return normalized[k], pairs
+
+
+def unstack(stacked):
+    """Complex bins 0..K of a real-stacked array (real rows, then imaginary)."""
+    real, imag = np.split(stacked, 2)
+    return real + 1j * imag
+
+
 class TestReplicaResponse:
-    """Folded replica responses: entries (k, j) of `replica_matrix`."""
+    """Folded replica responses: the columns of `replica_system`, unstacked."""
 
     def test_sh2_pair_collapses_to_one_bin(self):
         n = 64
         w = np.exp(-2j * np.pi / n)
+        pairs = unstack(replica_system(sh_kernel(2), n, Passband(31))[0])
         for k in (0, 1, 5, 17, 31):
-            _, pairs = replica_matrix(sh_kernel(2), n, np.array([k]), 1)
-            value = pairs[0, 0]
-            assert value == pytest.approx(1.0 - w**k, abs=1e-12)
+            assert pairs[k, 0] == pytest.approx(1.0 - w**k, abs=1e-12)
 
     def test_matches_modulated_taps_dft(self):
         # the folded pair equals (1/T) * DFT of taps * 2cos(2 pi j t / T)
@@ -61,19 +77,20 @@ class TestReplicaResponse:
         aligned[(np.arange(kernel.taps.size) - kernel.origin) % n] = kernel.taps
         modulated = aligned * 2.0 * np.cos(np.pi * np.arange(n))
         oracle = dft_naive(modulated) / kernel.period
-        _, pairs = replica_matrix(kernel, n, np.arange(n), 1)
-        for k in range(n):
+        pairs = unstack(replica_system(kernel, n, Passband(n // 2))[0])
+        for k in range(n // 2 + 1):
             assert pairs[k, 0] == pytest.approx(
                 oracle[k], abs=1e-11
             )
 
     def test_li2_null_at_nyquist_shift(self):
-        _, pairs = replica_matrix(li_kernel(2), 8, np.array([0]), 1)
+        pairs = unstack(replica_system(li_kernel(2), 8, Passband(0))[0])
         assert pairs[0, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_index_bounds(self):
+        assert replica_system(sh_kernel(4), 64, Passband(7))[0].shape == (16, 2)
         with pytest.raises(ValueError):
-            replica_matrix(sh_kernel(4), 64, np.array([0]), 3)
+            replica_system(sh_kernel(4), 64, Passband(33))
 
 
 class TestAssembleSystem:
@@ -146,26 +163,26 @@ class TestSystemCache:
     @example(calls=[("custom-a", 4, 16, 3, 1), ("custom-b", 4, 16, 3, 1)])
     @example(calls=[("sh", 4, 16, 3, 2), ("sh", 4, 16, 3, 1), ("sh", 4, 16, 5, 1)])
     def test_matches_uncached_build(self, calls):
-        optimizer._full_system.cache_clear()
+        modular._replica_system.cache_clear()
         for name, period, n, k_max, modules in calls:
             kernel = cache_case_kernel(name, period)
             system = assemble_system(kernel, n, modules, Passband(k_max))
-            base, pairs = replica_matrix(kernel, n, np.arange(k_max + 1), modules)
-            deficit = 1.0 - base
+            base, pairs = loop_replicas(kernel, n, k_max)
+            pairs, deficit = pairs[:, :modules], 1.0 - base
             assert np.array_equal(system.matrix, np.vstack([pairs.real, pairs.imag]))
             assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
             assert system.kernel_id == kernel.id
-            info = optimizer._full_system.cache_info()
-            assert info.currsize <= optimizer._SYSTEM_CACHE_SIZE == info.maxsize
-            full = optimizer._full_system(kernel.taps.tobytes(), kernel.origin, period, n, k_max)
+            info = modular._replica_system.cache_info()
+            assert info.currsize <= modular._SYSTEM_CACHE_SIZE == info.maxsize
+            full = replica_system(kernel, n, Passband(k_max))
             assert full[0].shape[1] == max_modules(period)
             assert not (full[0].flags.writeable or full[1].flags.writeable)
 
     def test_bounded_at_sixteen_systems(self):
-        optimizer._full_system.cache_clear()
+        modular._replica_system.cache_clear()
         for period in range(2, 20):
             assemble_system(sh_kernel(period), 4 * period, 1, Passband(1))
-        assert optimizer._full_system.cache_info().currsize == 16
+        assert modular._replica_system.cache_info().currsize == 16
 
 
 class TestSolve:
@@ -214,22 +231,13 @@ class TestSolve:
             error_metric(kernel, classical_coeffs(period, modules), n, band) + 1e-12
         )
 
-    # Near-rank-deficient systems (condition number >= 1e10) solve to weights
-    # around 1e10; evaluating the metric there cancels ~|c| * eps per bin, so
-    # float64 cannot reach the tight agreement achievable elsewhere.
-    ILL_CONDITIONED = {("hold:2", 16, 6), ("hold:2", 16, 7), ("hold:2", 16, 8)}
-
     @pytest.mark.parametrize("kernel_id, period, modules", GRID)
     def test_residual_consistent_with_metric(self, kernel_id, period, modules):
         kernel = kernel_from_id(kernel_id, period)
         n = 64 * period
         band = Passband(n // (2 * period) - 1)
         solution = solve_coefficients(assemble_system(kernel, n, modules, band))
-        metric = error_metric(kernel, solution.coeffs, n, band)
-        if (kernel_id, period, modules) in self.ILL_CONDITIONED:
-            assert solution.residual == pytest.approx(metric, rel=1e-4)
-        else:
-            assert solution.residual == pytest.approx(metric, rel=1e-10, abs=1e-20)
+        assert solution.residual == error_metric(kernel, solution.coeffs, n, band)
 
     @pytest.mark.parametrize("kernel_id", ["sh", "li"])
     @pytest.mark.parametrize("period", [2, 4, 8, 16])
