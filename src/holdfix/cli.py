@@ -127,16 +127,16 @@ def _default_passband(args) -> int:
     return k
 
 
-def _parse_module_list(text: str) -> tuple[int, ...]:
+def _parse_module_list(text: str, period: int) -> tuple[int, ...]:
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            values = list(range(int(lo_text), int(hi_text) + 1))
-        else:
-            values = [int(tok) for tok in text.split(",") if tok]
+        if ".." not in text:
+            return tuple(int(tok) for tok in text.split(",") if tok)
+        lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError:
         raise FieldError(f"cannot parse {text!r} (use a..b or m1,m2,...)", "M") from None
-    return tuple(values)  # `SweepSpec` refuses an empty list
+    for end in (lo, hi):  # refuse a huge range before listing it
+        check_grid(period=period, modules=end, fewest_modules=1)
+    return tuple(range(lo, hi + 1))  # `SweepSpec` refuses an empty list
 
 
 def _parse_snrs(text: str) -> tuple[float, ...]:
@@ -212,7 +212,7 @@ def cmd_sweep_modules(args) -> int:
             raise FieldError(f"period {args.period} admits no modules", "T")
         modules = tuple(range(1, cap + 1))
     else:
-        modules = _parse_module_list(args.modules)
+        modules = _parse_module_list(args.modules, args.period)
     rows = run_module_sweep(_sweep_spec(args, modules, None))
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

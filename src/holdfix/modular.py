@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import InterpKernel, frequency_response
-from .signals import Passband, Signal, check_grid, lowpass_array, max_modules
+from .signals import FieldError, Passband, Signal, check_grid, lowpass_array, max_modules
 
 __all__ = [
     "ModuleCoeffs",
@@ -64,7 +64,7 @@ class ModuleCoeffs:
         weights = tuple(float(v) for v in self.c)
         check_grid(period=self.period, modules=len(weights))
         if not all(math.isfinite(v) for v in weights):
-            raise ValueError("module weights must all be finite")
+            raise FieldError("module weights must all be finite", "coefficients")
         object.__setattr__(self, "c", weights)
 
     @property

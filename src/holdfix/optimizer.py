@@ -7,14 +7,19 @@ ones, so `modular.passband_energy` counts every k >= 1 term twice). A
 `DesignSystem` holds that cache's own read-only arrays, its matrix a view of
 the first M columns, and the stored residual is exactly `modular.error_metric`
 at the stored weights. `solve_coefficients` refuses a hand-built system with
-a non-finite entry, and `CoeffSolution` a residual not finite and >= 0.
+a non-finite entry.
 
 Solved weights depend only on the kernel, not on any signal, so they are
-persisted to a small JSON lookup table and reused.
+persisted to a small JSON lookup table and reused. A `CoeffSolution` owns the
+value rules (its grid passes `check_grid`, `ModuleCoeffs` caps M at
+floor(T/2), the residual is finite and >= 0), so `load_coeffs` only parses
+and type-checks JSON, and a file loads exactly when `store_coeffs` could
+have written it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -66,7 +71,8 @@ class DesignSystem:
 
 @dataclass(frozen=True)
 class CoeffSolution:
-    """Solved module weights plus the replica-sum error at the solution."""
+    """Solved module weights plus the replica-sum error at the solution; an
+    impossible grid or residual raises `FieldError` naming its field."""
 
     coeffs: ModuleCoeffs
     residual: float
@@ -76,8 +82,11 @@ class CoeffSolution:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.residual) and self.residual >= 0.0):
-            raise ValueError(f"residual must be finite and >= 0, got {self.residual!r}")
+        check_grid(self.n, self.coeffs.period, band=Passband(self.passband))
+        residual = float(self.residual)
+        if not (math.isfinite(residual) and residual >= 0.0):
+            raise FieldError(f"residual must be finite and >= 0, got {residual!r}", "residual")
+        object.__setattr__(self, "residual", residual)
 
 
 def assemble_system(
@@ -143,32 +152,35 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
     path = Path(path)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh)
+                fh.write("\n")
+            os.replace(tmp_name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
     except OSError as exc:  # name the file asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
-_REQUIRED_FIELDS = ("kernel_id", "T", "N", "K", "M", "coefficients", "residual")
-# Smallest valid value of each integer field.
-_INT_FIELDS = {"T": 1, "N": 1, "K": 0, "M": 0}
+# Each field's JSON type as `store_coeffs` writes it, checked with type(),
+# which also refuses bool, and an int where a float belongs.
+_FIELD_TYPES = {
+    "kernel_id": (str, "a string"),
+    **dict.fromkeys(("T", "N", "K", "M"), (int, "an integer")),
+    "coefficients": (list, "a list of floats"),
+    "residual": (float, "a float"),
+}
 
 
 def load_coeffs(path: str | Path) -> CoeffSolution:
     """Read a coefficient lookup file written by `store_coeffs`.
 
-    Every field is type-checked; a malformed file raises `CoeffFileError`
-    naming the field instead of a raw conversion error, and a file that cannot
-    be read or is not UTF-8 JSON raises it too.
+    A file that is unreadable, not UTF-8 JSON, of another schema, or whose
+    fields break their JSON type or a `CoeffSolution` rule raises
+    `CoeffFileError`, naming the field at fault when there is one.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -182,41 +194,27 @@ def load_coeffs(path: str | Path) -> CoeffSolution:
         raise CoeffFileError(
             f"{path}: unsupported schema {schema!r}, expected {COEFF_SCHEMA!r}", "schema"
         )
-    for field in _REQUIRED_FIELDS:
+    for field, (kind, noun) in _FIELD_TYPES.items():
         if field not in data:
             raise CoeffFileError(f"{path}: missing field {field!r}", field)
-    # JSON numbers load as exactly int or float; type() also rejects bool.
-    if type(data["kernel_id"]) is not str:
-        raise CoeffFileError(f"{path}: field 'kernel_id' must be a string", "kernel_id")
-    for field, minimum in _INT_FIELDS.items():
         value = data[field]
-        if type(value) is not int or value < minimum:
-            raise CoeffFileError(
-                f"{path}: field {field!r} must be an integer >= {minimum}, got {value!r}", field
-            )
+        if type(value) is not kind or (kind is list and any(type(v) is not float for v in value)):
+            raise CoeffFileError(f"{path}: field {field!r} must be {noun}", field)
     values = data["coefficients"]
-    if type(values) is not list or not all(type(v) in (int, float) for v in values):
-        raise CoeffFileError(f"{path}: field 'coefficients' must be a list of numbers", "coefficients")
-    if type(data["residual"]) not in (int, float):
-        raise CoeffFileError(f"{path}: field 'residual' must be a number", "residual")
     if data["M"] != len(values):
         raise CoeffFileError(
             f"{path}: M = {data['M']} but {len(values)} coefficients present", "M"
         )
     try:
-        coeffs = ModuleCoeffs(data["T"], values)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
-        raise CoeffFileError(f"{path}: field 'coefficients': {exc}", "coefficients") from exc
-    try:
         return CoeffSolution(
-            coeffs=coeffs,
-            residual=float(data["residual"]),
+            coeffs=ModuleCoeffs(data["T"], values),
+            residual=data["residual"],
             kernel_id=data["kernel_id"],
             n=data["N"],
             passband=data["K"],
         )
-    except (ValueError, OverflowError) as exc:
-        raise CoeffFileError(f"{path}: field 'residual': {exc}", "residual") from exc
+    except FieldError as exc:  # a value rule of the record, on its own field
+        raise CoeffFileError(f"{path}: field {exc.field!r}: {exc}", exc.field) from exc
 
 
 def check_solution_matches(

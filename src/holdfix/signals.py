@@ -67,8 +67,8 @@ class Passband:
 
 
 class FieldError(ValueError):
-    """A `ValueError` naming the input field at fault: N, T, K, M or kernel_id
-    as in coefficient files, or seed, snr or a `SweepSpec` field name."""
+    """A `ValueError` naming the field at fault: a coefficient-file field (T, N,
+    K, M, kernel_id, coefficients, residual), seed, snr or a `SweepSpec` field."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)

@@ -99,6 +99,15 @@ class TestSolve:
         assert code == 2
         assert "--length" in capsys.readouterr().err
 
+    def test_solve_into_a_directory_names_it(self, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.mkdir()
+        code = run_cli("solve", "--modules", "2", "--length", "64", "--period", "4",
+                       "--out", str(target))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
 
 class TestReconstruct:
     def test_matches_direct_library_call(self, capsys):
@@ -218,6 +227,20 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: --coeff-file: ") and "'residual'" in err
 
+    def test_coeff_file_impossible_grid_names_coeff_file_flag(self, tmp_path, capsys):
+        # T = 16 does not divide the file's N: the file is at fault, not --length
+        out = tmp_path / "c.json"
+        run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["N"] = 2050
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--method", "optimized", "--modules", "5",
+                       "--coeff-file", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --coeff-file: ") and "field 'N'" in err
+
     def test_coeff_file_null_coefficients_fails(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         run_cli("solve", "--kernel", "sh", "--modules", "5", "--out", str(out))
@@ -262,6 +285,18 @@ class TestSweeps:
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("modules, message", [
+        ("1..1000000000000", "1000000000000 modules exceed the maximum 8: "
+                             "floor(period/2) is the maximum for period 16"),
+        ("-1000000000000..1", "module count must be >= 1, got -1000000000000"),
+    ])
+    def test_huge_module_range_refused_before_listing(self, modules, message, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep-modules", f"--modules={modules}", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --modules: {message}\n"
+        assert not out.exists()
 
     def test_module_sweep_comma_list(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,5 +1,7 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from holdfix.optimizer import (
     solve_coefficients,
     store_coeffs,
 )
-from holdfix.signals import Passband
+from holdfix.signals import FieldError, Passband, check_grid
 
 
 def dft_naive(x):
@@ -299,12 +301,40 @@ class TestSolve:
         with pytest.raises(ValueError, match="residual must be finite and >= 0"):
             CoeffSolution(ModuleCoeffs(4, (1.0,)), residual, "sh", 64, 7)
 
+    @pytest.mark.parametrize("period, n, passband, field", [
+        (4, 0, 0, "N"),
+        (16, 100, 7, "N"),  # T = 16 does not divide N
+        (4, 64, 40, "K"),  # above N/2 = 32
+        (4, 64, -1, "K"),
+    ])
+    def test_solution_refuses_impossible_grid(self, period, n, passband, field):
+        with pytest.raises(FieldError) as info:
+            CoeffSolution(ModuleCoeffs(period, (1.0,)), 0.0, "sh", n, passband)
+        assert info.value.field == field
+
     def test_rank_deficient_flagged_minimum_norm(self):
         # flat single-tap kernel: every replica response is the constant 2
         flat = InterpKernel([4.0], 0, 4, "custom:flat")
         solution = solve_coefficients(assemble_system(flat, 64, 2, Passband(7)))
         assert solution.rank_deficient
         np.testing.assert_allclose(solution.coeffs.c, [0.0, 0.0], atol=1e-12)
+
+
+FILE_FIELDS = ("schema", "kernel_id", "T", "N", "K", "M", "coefficients", "residual")
+
+# Any JSON value: null, bool, string, list, object, small, negative and huge
+# ints, and floats including nan and inf.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.integers(-3, 80),
+    st.integers(-(10**500), 10**500),
+    st.floats(),
+    st.lists(st.floats(), max_size=4),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 class TestCoeffStore:
@@ -370,7 +400,9 @@ class TestCoeffStore:
         ("T", 4.0),
         ("T", 0),
         ("N", None),
+        ("N", 66),  # T = 4 does not divide it
         ("K", 7.5),
+        ("K", 40),  # above N/2 = 32
         ("M", "2"),
         ("kernel_id", 7),
         ("residual", None),
@@ -379,6 +411,8 @@ class TestCoeffStore:
         ("residual", -1.0),
         pytest.param("residual", 10**400, id="residual-huge-int"),
         pytest.param("coefficients", [10**400, 0.25], id="coefficients-huge-int"),
+        ("coefficients", [1, 0.25]),  # `store_coeffs` writes floats only
+        ("residual", 0),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "coeffs.json"
@@ -389,6 +423,80 @@ class TestCoeffStore:
         with pytest.raises(CoeffFileError, match=field) as info:
             load_coeffs(path)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"T": 10**400}, "N"),  # T does not divide N = 64
+        ({"M": 3, "coefficients": [0.5, 0.25, 0.125]}, "M"),  # above floor(T/2) = 2
+    ])
+    def test_value_rule_named_by_its_own_field(self, tmp_path, changes, field):
+        path = tmp_path / "coeffs.json"
+        store_coeffs(self._solution(), path)
+        data = json.loads(path.read_text())
+        data.update(changes)
+        path.write_text(json.dumps(data))
+        with pytest.raises(CoeffFileError, match=f"field '{field}'") as info:
+            load_coeffs(path)
+        assert info.value.field == field
+
+    @settings(deadline=None, max_examples=300)
+    @given(field=st.sampled_from(FILE_FIELDS), value=JSON_VALUES)
+    @example(field="N", value=66)
+    @example(field="K", value=40)
+    @example(field="T", value=10**400)
+    @example(field="T", value=8)
+    @example(field="coefficients", value=[0.5, float("nan")])
+    @example(field="residual", value=float("inf"))
+    def test_fuzzed_field_is_named_or_round_trips(self, field, value):
+        """Any JSON value in any field: the load is refused naming a file field,
+        or it gives a solution on a valid grid that stores back byte-identically."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coeffs.json"
+            store_coeffs(self._solution(), path)
+            data = json.loads(path.read_text())
+            data[field] = value
+            text = json.dumps(data) + "\n"
+            path.write_text(text)
+            try:
+                loaded = load_coeffs(path)
+            except CoeffFileError as exc:
+                assert exc.field in FILE_FIELDS
+                return
+            check_grid(loaded.n, loaded.coeffs.period, band=Passband(loaded.passband),
+                       modules=loaded.coeffs.modules)
+            store_coeffs(loaded, path)
+            assert path.read_text() == text
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        kernel_id=st.text(max_size=8),
+        period=st.integers(-1, 40),
+        blocks=st.integers(-1, 40),
+        extra=st.sampled_from([0, 0, 1]),
+        passband=st.integers(-1, 400),
+        weights=st.lists(st.floats(), max_size=6),
+        residual=st.one_of(st.floats(), st.integers(-3, 10**6)),
+    )
+    def test_every_constructed_solution_round_trips(
+        self, kernel_id, period, blocks, extra, passband, weights, residual
+    ):
+        try:
+            solution = CoeffSolution(ModuleCoeffs(period, weights), residual, kernel_id,
+                                     period * blocks + extra, passband)
+        except FieldError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coeffs.json"
+            store_coeffs(solution, path)
+            assert load_coeffs(path) == solution
+
+    def test_failed_rename_names_the_requested_path(self, tmp_path):
+        path = tmp_path / "target"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            store_coeffs(self._solution(), path)
+        assert info.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left beside it
+        assert list(path.iterdir()) == []
 
     def test_missing_directory_names_the_requested_path(self, tmp_path):
         path = tmp_path / "nodir" / "coeffs.json"
