@@ -48,6 +48,7 @@ from .optimizer import assemble_system, solve_coefficients
 from .signals import (
     FieldError,
     Passband,
+    as_int,
     bandlimited_array,
     check_grid,
     noise_array,
@@ -100,11 +101,11 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "modules", tuple(int(m) for m in self.modules))
+        object.__setattr__(self, "n", as_int(self.n, "N"))
+        object.__setattr__(self, "period", as_int(self.period, "T"))
+        object.__setattr__(self, "modules", tuple(as_int(m, "M") for m in self.modules))
         if self.noise_snrs_db is not None:
-            object.__setattr__(
-                self, "noise_snrs_db", tuple(float(s) for s in self.noise_snrs_db)
-            )
+            object.__setattr__(self, "noise_snrs_db", tuple(map(float, self.noise_snrs_db)))
         check_grid(self.n, self.period, guard_fraction=self.guard_fraction)
         if not self.methods:
             raise FieldError("at least one method is required", "methods")
@@ -115,10 +116,8 @@ class SweepSpec:
             raise FieldError("at least one module count is required", "M")
         for m in self.modules:
             check_grid(period=self.period, modules=m, fewest_modules=1)
-        if self.trials < 1:
-            raise FieldError(f"trials must be >= 1, got {self.trials}", "trials")
-        if self.master_seed < 0:
-            raise FieldError(f"master_seed must be >= 0, got {self.master_seed}", "master_seed")
+        object.__setattr__(self, "trials", as_int(self.trials, "trials", 1))
+        object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", 0))
         nyquist_bin = self.n // (2 * self.period)
         if self.k_sig.half_width_bins > nyquist_bin - 1:
             raise FieldError(

@@ -18,6 +18,7 @@ import sys
 from functools import cache
 
 from .bench import (
+    METHODS,
     SweepSpec,
     method_coeffs,
     run_module_sweep,
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fraction of samples ignored at each end for SNR")
     sweep_flags = argparse.ArgumentParser(add_help=False, parents=[grid_flags])
     sweep_flags.add_argument("--methods", default="classical,optimized",
-                             help="comma-separated subset of classical,comb,optimized")
+                             help=f"comma-separated subset of {','.join(METHODS)}")
     sweep_flags.add_argument("--trials", type=int, default=100, help="trials per row")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", parents=[grid_flags, trial_flags],
                        help="reconstruct a generated test signal and print its SNR")
-    p.add_argument("--method", required=True, choices=["classical", "optimized", "comb"],
-                   help="weighting method")
+    p.add_argument("--method", required=True, choices=METHODS, help="weighting method")
     p.add_argument("--modules", type=int, default=None,
                    help="module count M (default period/2)")
     p.add_argument("--coeff-file", default=None,
@@ -190,8 +190,8 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _sweep_spec(args, modules: tuple[int, ...], snrs: tuple[float, ...] | None) -> SweepSpec:
-    return SweepSpec(
+def _run_sweep(args, sweep, modules: tuple[int, ...], snrs: tuple[float, ...] | None) -> int:
+    rows = sweep(SweepSpec(
         kernel_id=args.kernel,
         period=args.period,
         n=args.length,
@@ -202,7 +202,10 @@ def _sweep_spec(args, modules: tuple[int, ...], snrs: tuple[float, ...] | None) 
         master_seed=args.seed,
         noise_snrs_db=snrs,
         guard_fraction=args.guard,
-    )
+    ))
+    write_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
 
 
 def cmd_sweep_modules(args) -> int:
@@ -213,17 +216,11 @@ def cmd_sweep_modules(args) -> int:
         modules = tuple(range(1, cap + 1))
     else:
         modules = _parse_module_list(args.modules, args.period)
-    rows = run_module_sweep(_sweep_spec(args, modules, None))
-    write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _run_sweep(args, run_module_sweep, modules, None)
 
 
 def cmd_sweep_noise(args) -> int:
-    rows = run_noise_sweep(_sweep_spec(args, (args.modules,), _parse_snrs(args.snrs)))
-    write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _run_sweep(args, run_noise_sweep, (args.modules,), _parse_snrs(args.snrs))
 
 
 def cmd_show_kernel(args) -> int:

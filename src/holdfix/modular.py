@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import InterpKernel, frequency_response
-from .signals import FieldError, Passband, Signal, check_grid, lowpass_array, max_modules
+from .signals import FieldError, Passband, Signal, as_int, check_grid, lowpass_array, max_modules
 
 __all__ = [
     "ModuleCoeffs",
@@ -61,6 +61,7 @@ class ModuleCoeffs:
     c: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "period", as_int(self.period, "T"))
         weights = tuple(float(v) for v in self.c)
         check_grid(period=self.period, modules=len(weights))
         if not all(math.isfinite(v) for v in weights):
@@ -127,7 +128,10 @@ def _replica_system(
     pairs = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
     deficit = 1.0 - normalized[: k_max + 1]
     system = (np.vstack([pairs.real, pairs.imag]), np.concatenate([deficit.real, deficit.imag]))
+    # bins 0 and N/2 are self-conjugate, so exactly real: zero the FFT's rounding
+    self_conjugate = [k_max + 1, 2 * k_max + 1] if 2 * k_max == n else [k_max + 1]
     for array in system:
+        array[self_conjugate] = 0.0
         array.setflags(write=False)
     return system
 
@@ -181,7 +185,6 @@ def passband_gain(
     """
     error = _replica_error(kernel, coeffs, n, band).reshape(2, -1)
     gain = 1.0 + (error[0] + 1j * error[1])
-    gain[0] = gain[0].real  # real taps: G(0) is real, the FFT may leave imaginary rounding
     return np.concatenate([np.conj(gain[:0:-1]), gain])
 
 

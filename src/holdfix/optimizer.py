@@ -11,10 +11,10 @@ a non-finite entry.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused. A `CoeffSolution` owns the
-value rules (its grid passes `check_grid`, `ModuleCoeffs` caps M at
-floor(T/2), the residual is finite and >= 0), so `load_coeffs` only parses
-and type-checks JSON, and a file loads exactly when `store_coeffs` could
-have written it.
+value rules (T, N and K are ints on a grid that passes `check_grid`, M is at
+most floor(T/2), the kernel id is a string, the residual finite and >= 0), so
+`load_coeffs` only parses and type-checks JSON, and a file loads exactly when
+`store_coeffs` could have written it.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import InterpKernel
 from .modular import ModuleCoeffs, passband_energy, replica_system
-from .signals import FieldError, Passband, check_grid
+from .signals import FieldError, Passband, as_int, check_grid
 
 __all__ = [
     "DesignSystem",
@@ -71,17 +71,21 @@ class DesignSystem:
 
 @dataclass(frozen=True)
 class CoeffSolution:
-    """Solved module weights plus the replica-sum error at the solution; an
-    impossible grid or residual raises `FieldError` naming its field."""
+    """Solved module weights plus the replica-sum error at the solution; a grid,
+    residual or kernel id that its file could not hold raises `FieldError`."""
 
     coeffs: ModuleCoeffs
     residual: float
     kernel_id: str
     n: int
     passband: int
-    rank_deficient: bool = False
+    rank_deficient: bool = field(default=False, compare=False)  # files do not keep it
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "N"))
+        object.__setattr__(self, "passband", as_int(self.passband, "K"))
+        if not isinstance(self.kernel_id, str):
+            raise FieldError(f"kernel_id must be a string, got {self.kernel_id!r}", "kernel_id")
         check_grid(self.n, self.coeffs.period, band=Passband(self.passband))
         residual = float(self.residual)
         if not (math.isfinite(residual) and residual >= 0.0):

@@ -10,12 +10,13 @@ they are safe to share between threads. The `*_array` functions are the
 array-level cores behind the `Signal` functions: they work along the last
 axis, so one call processes a stack of equal-length signals with exactly the
 arithmetic of one call per signal. `check_grid` holds the grid checks that
-every module shares.
+every module shares, and `as_int` the integer check of every record.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,7 @@ class Passband:
     half_width_bins: int
 
     def __post_init__(self):
-        k = int(self.half_width_bins)
-        if k < 0:
-            raise FieldError(f"passband half-width must be >= 0, got {k}", "K")
+        k = as_int(self.half_width_bins, "K", 0, "passband half-width")
         object.__setattr__(self, "half_width_bins", k)
 
 
@@ -73,6 +72,17 @@ class FieldError(ValueError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def as_int(value, field: str, least: int | None = None, noun: str | None = None) -> int:
+    """`value` as an int >= `least` (2.7 is not truncated), else `FieldError` on `field`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise FieldError(f"{noun or field} must be an integer, got {value!r}", field) from None
+    if least is not None and value < least:
+        raise FieldError(f"{noun or field} must be >= {least}, got {value}", field)
+    return value
 
 
 def max_modules(period: int) -> int:
@@ -148,11 +158,8 @@ def ideal_lowpass(x: Signal, band: Passband) -> Signal:
 
 def normal_array(n: int, seeds, sigma: float = 1.0) -> np.ndarray:
     """`default_rng(seed).normal(0.0, sigma, n)` for each of `seeds`, one row per seed."""
-    if n < 2:
-        raise FieldError(f"length must be >= 2, got {n}", "N")
-    for seed in seeds:
-        if seed < 0:
-            raise FieldError(f"seed must be >= 0, got {seed}", "seed")
+    n = as_int(n, "N", 2, "length")
+    seeds = [as_int(seed, "seed", 0) for seed in seeds]
     return np.stack([np.random.default_rng(seed).normal(0.0, sigma, n) for seed in seeds])
 
 
@@ -184,18 +191,6 @@ def sample_train(x: Signal, period: int) -> Signal:
     return Signal(sample_array(x.samples, period))
 
 
-def noise_power_ratio(target_snr_db: float) -> float:
-    """Noise-to-signal power ratio 10^(-SNR/10) of a target SNR in dB."""
-    if not math.isfinite(target_snr_db):
-        raise FieldError(f"target SNR {target_snr_db} dB is not finite", "snr")
-    try:
-        return 10.0 ** (-target_snr_db / 10.0)
-    except OverflowError:
-        raise FieldError(
-            f"target SNR {target_snr_db} dB needs a noise power beyond float range", "snr"
-        ) from None
-
-
 def noise_array(
     samples: np.ndarray, power: np.ndarray, draw: np.ndarray, target_snr_db: float
 ) -> np.ndarray:
@@ -204,19 +199,20 @@ def noise_array(
     `power` is each signal's mean square, `np.mean(samples**2, axis=-1)`, and
     `draw` holds standard-normal draws (`normal_array`), shaped like
     `samples`. Neither depends on the SNR, so a caller adding noise at several
-    SNRs computes both once. A level whose expected noise energy
-    N * power * ratio overflows is refused: the SNR of its output could not
-    be formed.
+    SNRs computes both once. The one noise rule: input SNR s scales the draw by
+    sqrt(power * 10^(-s/10)), and an s that is not finite, or whose expected
+    noise energy N * power * 10^(-s/10) is not, raises `FieldError` on snr.
     """
-    ratio = noise_power_ratio(target_snr_db)
+    if not math.isfinite(target_snr_db):
+        raise FieldError(f"target SNR {target_snr_db} dB is not finite", "snr")
     if np.any(power == 0.0):
         raise ValueError("cannot scale noise against a zero-power signal")
-    with np.errstate(over="ignore"):
-        noise_energy = samples.shape[-1] * power * ratio
-    if not np.all(np.isfinite(noise_energy)):
-        raise FieldError(
-            f"noise energy at target SNR {target_snr_db} dB is beyond float range", "snr"
-        )
+    with np.errstate(over="ignore"):  # an overflowing ratio or energy reads as inf
+        ratio = np.float64(10.0) ** (-target_snr_db / 10.0)
+        if not np.all(np.isfinite(samples.shape[-1] * power * ratio)):  # the noise energy
+            raise FieldError(
+                f"noise energy at target SNR {target_snr_db} dB is beyond float range", "snr"
+            )
     return samples + np.sqrt(power * ratio)[..., None] * draw
 
 

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from holdfix import kernels
-from holdfix.bench import SweepSpec, run_trial
+from holdfix.bench import METHODS, SweepSpec, run_trial
 from holdfix.cli import build_parser, main
 from holdfix.kernels import custom_kernel, kernel_from_id
 from holdfix.optimizer import assemble_system, load_coeffs, solve_coefficients
@@ -587,7 +587,12 @@ class TestParser:
                             "reconstruct": {"--method"}}.get(command, set())
         if command == "reconstruct":
             (method,) = [a for a in actions if a.option_strings == ["--method"]]
-            assert method.choices == ["classical", "optimized", "comb"]
+            assert method.choices == METHODS  # the one list of methods, in its order
+
+    def test_methods_help_lists_the_method_tuple(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep-modules", "--help"])
+        assert ",".join(METHODS) in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_enumerates_every_flag(self, command, capsys):

@@ -23,6 +23,7 @@ from holdfix.modular import (
     module_bank,
     passband_gain,
     reconstruct,
+    replica_system,
 )
 from holdfix.optimizer import assemble_system, load_coeffs, solve_coefficients, store_coeffs
 from holdfix.signals import Passband, Signal, gen_bandlimited, ideal_lowpass, sample_train
@@ -269,6 +270,10 @@ class TestReplicaMatrixMatchesLoop:
             system = assemble_system(kernel, n, modules, band)
             rows = pairs[k_max:, :modules]  # bins 0..K
             deficit = 1.0 - normalized[np.arange(k_max + 1)]
+            # bins 0 and N/2 are their own conjugates: the system keeps their real part
+            self_conjugate = [0, k_max] if 2 * k_max == n else [0]
+            rows.imag[self_conjugate] = 0.0
+            deficit.imag[self_conjugate] = 0.0
             assert np.array_equal(system.matrix, np.vstack([rows.real, rows.imag]))
             assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
 
@@ -289,3 +294,14 @@ class TestOneReplicaSystem:
                 store_coeffs(solution, path)
                 loaded = load_coeffs(path)
             assert error_metric(kernel, loaded.coeffs, n, band) == loaded.residual
+
+    @pytest.mark.parametrize("k_max", [0, 5])
+    def test_self_conjugate_rows_are_exactly_real(self, k_max):
+        # the FFT of hold:2 at T = 2, N = 10 leaves about 1e-17 of imaginary
+        # rounding on bins 0 and N/2, which real taps make exactly real
+        kernel, band = kernel_from_id("hold:2", 2), Passband(k_max)
+        pairs, deficit = replica_system(kernel, 10, band)
+        imag_rows = [k_max + 1, 2 * k_max + 1]  # Im of bin 0 and of bin K (N/2 at K = 5)
+        assert not pairs[imag_rows].any() and not deficit[imag_rows].any()
+        gain = passband_gain(kernel, ModuleCoeffs(2, (0.7,)), 10, band)
+        assert gain[k_max].imag == 0.0

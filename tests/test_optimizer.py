@@ -312,6 +312,18 @@ class TestSolve:
             CoeffSolution(ModuleCoeffs(period, (1.0,)), 0.0, "sh", n, passband)
         assert info.value.field == field
 
+    @pytest.mark.parametrize("kernel_id, n, passband, field", [
+        ("sh", 64.0, 7, "N"),
+        ("sh", 64, 7.0, "K"),
+        ("sh", 64, 2.7, "K"),
+        (5, 64, 7, "kernel_id"),
+    ])
+    def test_solution_refuses_what_its_file_would(self, kernel_id, n, passband, field):
+        # `store_coeffs` would write "N": 64.0 or "kernel_id": 5, which `load_coeffs` refuses
+        with pytest.raises(FieldError) as info:
+            CoeffSolution(ModuleCoeffs(4, (0.5,)), 0.0, kernel_id, n, passband)
+        assert info.value.field == field
+
     def test_rank_deficient_flagged_minimum_norm(self):
         # flat single-tap kernel: every replica response is the constant 2
         flat = InterpKernel([4.0], 0, 4, "custom:flat")
@@ -352,6 +364,22 @@ class TestCoeffStore:
         assert loaded.kernel_id == solution.kernel_id
         assert loaded.n == solution.n
         assert loaded.passband == solution.passband
+
+    @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:2", "hold:3"])
+    @pytest.mark.parametrize("period", [8, 16])
+    def test_stored_solve_loads_equal_whatever_its_rank(self, tmp_path, kernel_id, period):
+        # the file does not keep rank_deficient (set at T = 16, M = 7 and 8), so
+        # equality must not compare it
+        kernel, n, path = kernel_from_id(kernel_id, period), 2048, tmp_path / "coeffs.json"
+        flags = []
+        for modules in range(1, max_modules(period) + 1):
+            solution = solve_coefficients(
+                assemble_system(kernel, n, modules, Passband(n // (2 * period) - 1))
+            )
+            store_coeffs(solution, path)
+            assert load_coeffs(path) == solution
+            flags.append(solution.rank_deficient)
+        assert any(flags) == (period == 16)
 
     def test_file_schema_fields(self, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -475,13 +503,15 @@ class TestCoeffStore:
         passband=st.integers(-1, 400),
         weights=st.lists(st.floats(), max_size=6),
         residual=st.one_of(st.floats(), st.integers(-3, 10**6)),
+        integer=st.sampled_from([int, np.int64, np.int32]),
     )
     def test_every_constructed_solution_round_trips(
-        self, kernel_id, period, blocks, extra, passband, weights, residual
+        self, kernel_id, period, blocks, extra, passband, weights, residual, integer
     ):
+        # numpy ints are stored as plain JSON integers
         try:
-            solution = CoeffSolution(ModuleCoeffs(period, weights), residual, kernel_id,
-                                     period * blocks + extra, passband)
+            solution = CoeffSolution(ModuleCoeffs(integer(period), weights), residual, kernel_id,
+                                     integer(period * blocks + extra), integer(passband))
         except FieldError:
             return
         with tempfile.TemporaryDirectory() as tmp:

@@ -19,7 +19,6 @@ from holdfix.signals import (
     gen_bandlimited,
     ideal_lowpass,
     noise_array,
-    noise_power_ratio,
     lowpass_array,
     normal_array,
     sample_array,
@@ -224,18 +223,21 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(x, float("inf"), 0)
 
-    @pytest.mark.parametrize("target", [-4000.0, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("target", [-4000.0, float("nan"), float("-inf"), float("inf")])
     def test_unrepresentable_noise_raises_value_error(self, target):
         x = Signal(np.ones(8))
-        with pytest.raises(ValueError, match="SNR"):
-            add_noise(x, target, 0)
-        with pytest.raises(ValueError, match="SNR"):
-            noise_array(x.samples, np.mean(x.samples**2), normal_array(8, [0])[0], target)
+        for call in (lambda: add_noise(x, target, 0),
+                     lambda: noise_array(x.samples, np.mean(x.samples**2),
+                                         normal_array(8, [0])[0], target)):
+            with pytest.raises(FieldError, match="SNR") as info:
+                call()
+            assert info.value.field == "snr"
 
     def test_noise_std_overflow_raises_value_error(self):
-        # the power ratio itself is finite; times the signal's power it is not
+        # -3000 dB is usable against unit power; against the power of 1e100
+        # samples the noise energy is past float range
+        assert np.all(np.isfinite(add_noise(Signal(np.ones(8)), -3000.0, 0).samples))
         x = Signal(np.full(8, 1e100))
-        assert np.isfinite(noise_power_ratio(-3000.0))
         with pytest.raises(ValueError, match="beyond float range"):
             add_noise(x, -3000.0, 0)
 
@@ -353,7 +355,7 @@ def _spec(**overrides):
     (lambda: gen_bandlimited(64, Passband(7), 1.0, -1), "seed"),
     (lambda: gen_bandlimited(1, Passband(0), 1.0, 0), "N"),
     (lambda: snr_db_array(np.ones(8), np.ones(8), 0.5), "guard_fraction"),
-    (lambda: noise_power_ratio(float("nan")), "snr"),
+    (lambda: add_noise(Signal(np.ones(8)), float("nan"), 0), "snr"),
     (lambda: _spec(n=250), "N"),
     (lambda: _spec(modules=(3,)), "M"),
     (lambda: _spec(k_sig=Passband(32)), "K"),
@@ -364,6 +366,15 @@ def _spec(**overrides):
     (lambda: snr_db_array(np.ones(2), np.ones(2), 0.49999999999999994), "guard_fraction"),
     (lambda: _spec(modules=()), "M"),
     (lambda: Passband(-1), "K"),
+    # a count that is not integral is refused, never truncated
+    pytest.param(lambda: Passband(2.7), "K", id="Passband-2.7"),
+    pytest.param(lambda: ModuleCoeffs(4.0, (0.5,)), "T", id="ModuleCoeffs-period-4.0"),
+    pytest.param(lambda: _spec(modules=(2.5,)), "M", id="SweepSpec-modules-2.5"),
+    pytest.param(lambda: _spec(trials=2.5), "trials", id="SweepSpec-trials-2.5"),
+    pytest.param(lambda: _spec(master_seed=1.5), "master_seed", id="SweepSpec-master_seed-1.5"),
+    pytest.param(lambda: _spec(n=2048.0), "N", id="SweepSpec-n-2048.0"),
+    pytest.param(lambda: _spec(period=16.0), "T", id="SweepSpec-period-16.0"),
+    pytest.param(lambda: normal_array(8, [1.5]), "seed", id="normal_array-seed-1.5"),
 ])
 def test_validation_errors_name_their_field(call, field):
     with pytest.raises(FieldError) as info:
