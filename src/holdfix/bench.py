@@ -12,16 +12,18 @@ weights: comb weights exist only at their own count floor(T/2), so both
 sweeps list comb once, at that count, whatever modules the spec requests.
 
 Sweeps reuse each trial's signals across rows. Trials run in chunks of
-_TRIAL_CHUNK (8). Per chunk, one batched call generates all clean signals;
-a noise sweep also draws each trial's standard-normal noise and computes its
-signal power once, and every noise level only rescales that draw. Per input
-level (clean or one noise SNR) the chunk is sampled and interpolated once
-into a (chunk, N) array of held signals. Each (method, modules) row then
-only mixes that array with its module bank, lowpass filters it and scores
-all its trials in one `snr_db_array` call. The array cores are the ones
-behind `gen_bandlimited`, `add_noise`, `sample_train`, `interpolate`,
-`reconstruct` and `snr_db`, so every value is bit-identical to running the
-trial alone; `run_trial` is the engine applied to one trial. The median
+_TRIAL_CHUNK (8) where a stacked (8, N) float array fits in _CHUNK_BYTES
+(16 MiB, so up to N = 2^18), and one at a time above. Per chunk, one batched
+call generates all clean signals; a noise sweep also draws each trial's
+standard-normal noise and computes its signal power once, and every noise
+level only rescales that draw. Per input level (clean or one noise SNR) the
+chunk is sampled and interpolated once into a (chunk, N) array of held
+signals. Each (method, modules) row then only mixes that array with its
+module bank, lowpass filters it and scores all its trials in one
+`snr_db_array` call. The array cores are the ones behind `gen_bandlimited`,
+`add_noise`, `sample_train`, `interpolate`, `reconstruct` and `snr_db`, so
+every value is bit-identical to running the trial alone; `run_trial` is the
+engine applied to one trial. The median
 build time of the three headline CSVs is the `latency_p50_ms` that
 `perfbench/run.py --workload headline` reports.
 
@@ -76,8 +78,11 @@ CSV_HEADER = "method,modules,input_snr_db,mean_output_snr_db,std_output_snr_db,t
 
 _NOISE_SEED_OFFSET = 1 << 20
 # Trials per engine chunk. One trial at a time forgoes most of the batching
-# gain; all 100 headline trials at once raise peak memory by about 14 MB.
+# gain up to N = 2^17; all 100 headline trials at once add 14 MB of peak RSS.
+# Past _CHUNK_BYTES per stacked array the gain is gone and only memory grows
+# (8 trials at N = 2^20 add 340 MB), so such chunks hold one trial.
 _TRIAL_CHUNK = 8
+_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,9 @@ def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
         cells_at_level.setdefault(level, []).append(index)
     noisy = any(level is not None for level in cells_at_level)
     out = np.empty((len(cells), len(trials)))
-    for start in range(0, len(trials), _TRIAL_CHUNK):
-        columns = slice(start, start + _TRIAL_CHUNK)
+    chunk = _TRIAL_CHUNK if 8 * _TRIAL_CHUNK * spec.n <= _CHUNK_BYTES else 1
+    for start in range(0, len(trials), chunk):
+        columns = slice(start, start + chunk)
         seeds = [spec.master_seed + trial for trial in trials[columns]]
         reference = bandlimited_array(spec.n, spec.k_sig, 1.0, seeds)
         if noisy:

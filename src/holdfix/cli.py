@@ -152,11 +152,12 @@ def cmd_solve(args) -> int:
     system = assemble_system(kernel, args.length, args.modules, band)
     solution = solve_coefficients(system)
     store_coeffs(solution, args.out)
-    # many rank-deficient systems still fit exactly, to within rounding
-    floor = sys.float_info.epsilon * passband_energy(system.target)
-    if solution.rank_deficient and solution.residual > floor:
-        print("warning: design system is rank deficient; minimum-norm solution stored",
-              file=sys.stderr)
+    if solution.rank_deficient:
+        # many rank-deficient systems still fit exactly, to within rounding
+        floor = sys.float_info.epsilon * passband_energy(system.target)
+        if solution.residual > floor:
+            print("warning: design system is rank deficient; minimum-norm solution stored",
+                  file=sys.stderr)
     print(f"kernel {kernel.id} period {args.period} modules {args.modules}: "
           f"residual {solution.residual:.6e}")
     print(f"wrote {args.out}")

@@ -1,8 +1,8 @@
 """Hold-type interpolation kernels and their application to sample trains.
 
-Built-in kernels: causal sample-and-hold (`sh`), zero-phase linear
-interpolation (`li`) and the general nth-order hold (`hold:<n>`, the
-(n+1)-fold self-convolution of a rectangle). Taps always sum to the hold
+Built-in kernels: the nth-order hold (`hold:<n>`, the (n+1)-fold
+self-convolution of a rectangle) and its orders 0 and 1: causal sample-and-hold
+(`sh`) and zero-phase linear interpolation (`li`). Taps always sum to the hold
 period, so dividing a replica sum by the period gives unit DC gain.
 `InterpKernel` is the one check of a usable kernel: it also bounds the taps'
 absolute sum by _TAP_SUM_RTOL * T / eps (7.2e7 at T = 16), past which rounding
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import FieldError, Signal, check_grid
+from .signals import FieldError, Signal, as_int, check_grid
 
 __all__ = [
     "InterpKernel",
@@ -55,31 +55,43 @@ class InterpKernel:
         taps = np.array(self.taps, dtype=float)
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("kernel taps must be a non-empty 1-D sequence")
-        if not 0 <= self.origin < taps.size:
-            raise ValueError(f"origin {self.origin} outside taps [0, {taps.size})")
-        check_grid(period=self.period)
-        limit = _TAP_SUM_RTOL * self.period / np.finfo(float).eps
+        origin = as_int(self.origin, "origin")
+        if not 0 <= origin < taps.size:
+            raise ValueError(f"origin {origin} outside taps [0, {taps.size})")
+        period = as_int(self.period, "T", 1, "hold period")
+        limit = _TAP_SUM_RTOL * period / np.finfo(float).eps
         if not np.abs(taps / limit).sum() <= 1.0:  # scaled, so huge taps cannot overflow
             raise ValueError(f"kernel taps' absolute sum is not finite or exceeds {limit:.3g}")
         total = float(taps.sum())
-        if abs(total - self.period) > _TAP_SUM_RTOL * self.period:
+        if abs(total - period) > _TAP_SUM_RTOL * period:
             raise ValueError(
-                f"kernel taps sum to {total!r}, expected the hold period {self.period}"
+                f"kernel taps sum to {total!r}, expected the hold period {period}"
             )
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "period", period)
+
+
+def _hold(order: int, period: int, kernel_id: str) -> InterpKernel:
+    check_grid(period=period)  # before np.ones sizes an array with it
+    taps = np.ones(period)
+    for _ in range(order):  # normalized at each step, so no order overflows
+        taps = np.convolve(taps, np.ones(period)) / period
+    origin = 0 if order == 0 else (taps.size - 1) // 2
+    # high orders underflow their edge taps to exactly 0: keep the nonzero run
+    first, last = np.flatnonzero(taps)[[0, -1]].tolist()
+    return InterpKernel(taps[first : last + 1], origin - first, period, kernel_id)
 
 
 def sh_kernel(period: int) -> InterpKernel:
-    """Causal sample-and-hold: hold each sample for `period` steps."""
-    return InterpKernel(np.ones(period), 0, period, "sh")
+    """Causal sample-and-hold, the order-0 hold: hold each sample for `period` steps."""
+    return _hold(0, period, "sh")
 
 
 def li_kernel(period: int) -> InterpKernel:
-    """Zero-phase linear interpolator: symmetric triangle with peak 1."""
-    j = np.arange(2 * period - 1)
-    taps = 1.0 - np.abs(j - (period - 1)) / period
-    return InterpKernel(taps, period - 1, period, "li")
+    """Zero-phase linear interpolator, the order-1 hold: symmetric triangle with peak 1."""
+    return _hold(1, period, "li")
 
 
 def nth_order_hold(order: int, period: int) -> InterpKernel:
@@ -88,15 +100,8 @@ def nth_order_hold(order: int, period: int) -> InterpKernel:
     Order 0 is the sample-and-hold, order 1 the linear triangle. Beyond
     order 1 the kernel is smoother but no longer interpolating.
     """
-    if order < 0:
-        raise ValueError("hold order must be >= 0")
-    taps = np.ones(period)
-    for _ in range(order):  # normalized at each step, so no order overflows
-        taps = np.convolve(taps, np.ones(period)) / period
-    origin = 0 if order == 0 else (taps.size - 1) // 2
-    # high orders underflow their edge taps to exactly 0: keep the nonzero run
-    first, last = np.flatnonzero(taps)[[0, -1]].tolist()
-    return InterpKernel(taps[first : last + 1], origin - first, period, f"hold:{order}")
+    order = as_int(order, "order", 0, "hold order")
+    return _hold(order, period, f"hold:{order}")
 
 
 def custom_kernel(path: str | Path, period: int) -> InterpKernel:

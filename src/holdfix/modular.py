@@ -82,15 +82,13 @@ def classical_coeffs(period: int, modules: int) -> ModuleCoeffs:
 def comb_coeffs(period: int) -> ModuleCoeffs:
     """Weights whose module bank equals `period` times an impulse train.
 
-    Even periods use the full budget with the last weight halved (the
-    Nyquist-harmonic cosine is its own alias pair); odd periods need no
-    halving.
+    Ones at all floor(period/2) modules; even periods halve the last weight
+    (the Nyquist-harmonic cosine is its own alias pair).
     """
+    c = [1.0] * max_modules(period)
     if period % 2 == 0:
-        c = (1.0,) * (period // 2 - 1) + (0.5,)
-    else:
-        c = (1.0,) * ((period - 1) // 2)
-    return ModuleCoeffs(period, c)
+        c[-1] = 0.5
+    return ModuleCoeffs(period, tuple(c))
 
 
 def module_bank(coeffs: ModuleCoeffs) -> np.ndarray:

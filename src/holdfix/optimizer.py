@@ -109,7 +109,7 @@ def assemble_system(
         target=target,
         kernel_id=kernel.id,
         period=kernel.period,
-        n=n,
+        n=as_int(n, "N"),  # an int, as in the CoeffSolution solved from it
         passband=band.half_width_bins,
     )
 
@@ -157,9 +157,8 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
     try:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-                fh.write("\n")
+            with os.fdopen(fd, "w") as fh:  # dumps: json.dump's pure-Python encoder is slower
+                fh.write(json.dumps(payload) + "\n")
             os.replace(tmp_name, path)
         except BaseException:
             with contextlib.suppress(OSError):

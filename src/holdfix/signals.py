@@ -10,7 +10,7 @@ they are safe to share between threads. The `*_array` functions are the
 array-level cores behind the `Signal` functions: they work along the last
 axis, so one call processes a stack of equal-length signals with exactly the
 arithmetic of one call per signal. `check_grid` holds the grid checks that
-every module shares, and `as_int` the integer check of every record.
+every module shares, and `as_int` the one integer rule of every grid value.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class Passband:
 
 class FieldError(ValueError):
     """A `ValueError` naming the field at fault: a coefficient-file field (T, N,
-    K, M, kernel_id, coefficients, residual), seed, snr or a `SweepSpec` field."""
+    K, M, kernel_id, coefficients, residual), seed, snr, a kernel's origin or
+    hold order, or a `SweepSpec` field."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -87,8 +88,7 @@ def as_int(value, field: str, least: int | None = None, noun: str | None = None)
 
 def max_modules(period: int) -> int:
     """Largest usable module count for a hold period: floor(period / 2)."""
-    check_grid(period=period)
-    return period // 2
+    return as_int(period, "T", 1, "hold period") // 2
 
 
 def check_grid(
@@ -104,17 +104,16 @@ def check_grid(
 ) -> None:
     """Raise `FieldError` unless the given parts of an N-point grid fit.
 
-    N >= 1; the `role` period (hold, sampling, kernel or module) is >= 1 and
-    divides N; the passband half-width is <= N/2; `modules` lies in
-    fewest_modules..floor(period/2); a kernel of `taps` taps fits in N; the
-    SNR guard fraction dropped at each end lies in [0, 0.5). Parts left at
-    None are not checked.
+    N >= 1, the `role` period (hold, sampling, kernel or module) >= 1 and
+    `modules` in fewest_modules..floor(period/2), each an integer (`as_int`);
+    the period divides N; the passband half-width is <= N/2; a kernel of
+    `taps` taps fits in N; the SNR guard fraction dropped at each end lies in
+    [0, 0.5). Parts left at None are not checked.
     """
-    if n is not None and n < 1:
-        raise FieldError(f"length must be >= 1, got {n}", "N")
+    if n is not None:
+        n = as_int(n, "N", 1, "length")
     if period is not None:
-        if period < 1:
-            raise FieldError(f"{role} period must be >= 1, got {period}", "T")
+        period = as_int(period, "T", 1, f"{role} period")
         if n is not None and n % period:
             raise FieldError(f"{role} period {period} does not divide length {n}", "N")
     if band is not None and band.half_width_bins > n // 2:
@@ -122,8 +121,7 @@ def check_grid(
             f"passband half-width {band.half_width_bins} exceeds N/2 = {n // 2}", "K"
         )
     if modules is not None:
-        if modules < fewest_modules:
-            raise FieldError(f"module count must be >= {fewest_modules}, got {modules}", "M")
+        modules = as_int(modules, "M", fewest_modules, "module count")
         cap = max_modules(period)
         if modules > cap:
             # cosine j + T/2 aliases onto cosine j, so further modules only distort

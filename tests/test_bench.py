@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holdfix import bench
 from holdfix.bench import (
     CSV_HEADER,
     METHODS,
@@ -346,30 +348,35 @@ class TestEngineMatchesPublicPipeline:
     """Sweeps and run_trial equal, bit for bit, the per-trial public pipeline."""
 
     @settings(deadline=None, max_examples=40)
-    @given(case=sweep_cases(), trials=st.integers(1, 20))
-    @example(case=_LI_ALL_METHODS, trials=5)  # fewer trials than one chunk
-    @example(case=_LI_ALL_METHODS, trials=8)  # exactly one chunk
+    @given(case=sweep_cases(), trials=st.integers(1, 20), chunk=st.integers(1, 8))
+    @example(case=_LI_ALL_METHODS, trials=5, chunk=None)  # fewer trials than one chunk
+    @example(case=_LI_ALL_METHODS, trials=8, chunk=None)  # exactly one chunk
     @example(case=dict(_LI_ALL_METHODS, modules=(3,), noise_snrs_db=(10.0, 30.0)),
-             trials=13)  # not a multiple of the chunk
-    def test_sweep_rows_and_trials(self, case, trials):
-        spec = SweepSpec(**case, trials=trials)
-        if spec.noise_snrs_db is None:
-            levels = [None]
-            rows = run_module_sweep(spec)
-        else:
-            levels = list(spec.noise_snrs_db)
-            rows = run_noise_sweep(spec)
-        expected = []
-        for method in sorted(set(spec.methods)):
-            # both sweeps list comb once, at its own count floor(T/2)
-            counts = sorted(spec.modules)
-            if method == "comb":
-                counts = [comb_coeffs(spec.period).modules]
-            expected += [oracle_row(spec, method, m, level) for m in counts for level in levels]
-        assert rows == expected
+             trials=13, chunk=None)  # not a multiple of the chunk
+    @example(case=dict(_LI_ALL_METHODS, n=1 << 19, modules=(4,)),
+             trials=2, chunk=None)  # past the byte bound: one trial per chunk
+    def test_sweep_rows_and_trials(self, case, trials, chunk):
+        # drawn cases run `chunk` trials per chunk; None keeps the real constants
+        size = bench._TRIAL_CHUNK if chunk is None else chunk
+        with mock.patch.object(bench, "_TRIAL_CHUNK", size):
+            spec = SweepSpec(**case, trials=trials)
+            if spec.noise_snrs_db is None:
+                levels = [None]
+                rows = run_module_sweep(spec)
+            else:
+                levels = list(spec.noise_snrs_db)
+                rows = run_noise_sweep(spec)
+            expected = []
+            for method in sorted(set(spec.methods)):
+                # both sweeps list comb once, at its own count floor(T/2)
+                counts = sorted(spec.modules)
+                if method == "comb":
+                    counts = [comb_coeffs(spec.period).modules]
+                expected += [oracle_row(spec, method, m, level) for m in counts for level in levels]
+            assert rows == expected
 
-        trial = trials - 1
-        for method, modules in [("classical", 0)] + [(r.method, r.modules) for r in rows]:
-            assert run_trial(spec, method, modules, levels[-1], trial) == oracle_trial(
-                spec, method, modules, levels[-1], trial
-            )
+            trial = trials - 1
+            for method, modules in [("classical", 0)] + [(r.method, r.modules) for r in rows]:
+                assert run_trial(spec, method, modules, levels[-1], trial) == oracle_trial(
+                    spec, method, modules, levels[-1], trial
+                )

@@ -219,8 +219,23 @@ class TestBuiltins:
         assert k.taps.sum() == pytest.approx(2.0)
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^hold order must be >= 0, got -1$"):
             nth_order_hold(-1, 4)
+
+    def test_sh_and_li_are_the_order_zero_and_one_holds(self):
+        for period in range(1, 65):
+            for kernel, order in ((sh_kernel(period), 0), (li_kernel(period), 1)):
+                hold = nth_order_hold(order, period)
+                assert np.array_equal(kernel.taps, hold.taps) and kernel.origin == hold.origin
+            assert np.array_equal(sh_kernel(period).taps, np.ones(period))
+            # li taps are the correctly rounded k/T; 1 - |j|/T, which cancels in
+            # its small edge taps, is within eps/2 of them
+            lag = np.abs(np.arange(2 * period - 1) - (period - 1))
+            taps = li_kernel(period).taps
+            assert np.array_equal(taps, (period - lag) / period)
+            assert np.all(np.abs(taps - (1.0 - lag / period)) <= np.finfo(float).eps / 2)
+            if period & (period - 1) == 0:  # exact at every power-of-two period
+                assert np.array_equal(taps, 1.0 - lag / period)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("period", [2, 4, 8, 16, 32, 64])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holdfix.bench import SweepSpec
-from holdfix.kernels import frequency_response, interpolate_array, kernel_from_id, li_kernel, sh_kernel
-from holdfix.modular import ModuleCoeffs, comb_coeffs, passband_gain, reconstruct, reconstruct_array
+from holdfix.kernels import (
+    InterpKernel,
+    frequency_response,
+    interpolate_array,
+    kernel_from_id,
+    li_kernel,
+    nth_order_hold,
+    sh_kernel,
+)
+from holdfix.modular import (
+    ModuleCoeffs,
+    classical_coeffs,
+    comb_coeffs,
+    passband_gain,
+    reconstruct,
+    reconstruct_array,
+)
 from holdfix.optimizer import assemble_system
 from holdfix.signals import (
     FieldError,
@@ -16,10 +32,12 @@ from holdfix.signals import (
     Signal,
     add_noise,
     bandlimited_array,
+    check_grid,
     gen_bandlimited,
     ideal_lowpass,
     noise_array,
     lowpass_array,
+    max_modules,
     normal_array,
     sample_array,
     sample_train,
@@ -375,8 +393,112 @@ def _spec(**overrides):
     pytest.param(lambda: _spec(n=2048.0), "N", id="SweepSpec-n-2048.0"),
     pytest.param(lambda: _spec(period=16.0), "T", id="SweepSpec-period-16.0"),
     pytest.param(lambda: normal_array(8, [1.5]), "seed", id="normal_array-seed-1.5"),
+    pytest.param(lambda: check_grid(period=4, modules=1.5), "M", id="check_grid-modules-1.5"),
+    pytest.param(lambda: classical_coeffs(4, 1.5), "M", id="classical_coeffs-modules-1.5"),
+    pytest.param(lambda: assemble_system(sh_kernel(4), 64, 1.5, Passband(7)), "M",
+                 id="assemble_system-modules-1.5"),
+    pytest.param(lambda: assemble_system(sh_kernel(4), 64.0, 1, Passband(7)), "N",
+                 id="assemble_system-n-64.0"),
+    pytest.param(lambda: sample_array(np.ones(8), 2.0), "T", id="sample_array-period-2.0"),
+    pytest.param(lambda: max_modules(4.0), "T", id="max_modules-4.0"),
+    pytest.param(lambda: comb_coeffs(4.0), "T", id="comb_coeffs-4.0"),
+    pytest.param(lambda: sh_kernel(4.0), "T", id="sh_kernel-4.0"),
+    pytest.param(lambda: li_kernel(4.0), "T", id="li_kernel-4.0"),
+    pytest.param(lambda: nth_order_hold(2, 4.0), "T", id="nth_order_hold-period-4.0"),
+    pytest.param(lambda: nth_order_hold(2.5, 4), "order", id="nth_order_hold-order-2.5"),
+    pytest.param(lambda: InterpKernel(np.ones(4), 0, 4.0, "x"), "T", id="InterpKernel-period-4.0"),
+    pytest.param(lambda: InterpKernel(np.ones(4), 0.5, 4, "x"), "origin",
+                 id="InterpKernel-origin-0.5"),
+    pytest.param(lambda: kernel_from_id("sh", 16.0), "T", id="kernel_from_id-period-16.0"),
 ])
 def test_validation_errors_name_their_field(call, field):
     with pytest.raises(FieldError) as info:
         call()
     assert info.value.field == field
+
+
+
+def _custom_kernel_with_origin(tmp_dir, origin):
+    path = tmp_dir / "taps.txt"
+    path.write_text(f"1 1 1 1\norigin={origin!r}\n")
+    return kernel_from_id(f"custom:{path}", 4)
+
+
+def _grid_calls(period, modules, order, origin, tmp_dir):
+    """Every grid entry point as (name, call, field, good): `call(v)` passes v
+    as one integer argument, `good` is a valid value of it and the others are
+    valid at `period`. A bad value must raise `FieldError` on `field`."""
+    n, some = 8 * period, max(modules, 1)
+    return [
+        ("check_grid N", lambda v: check_grid(v), "N", n),
+        ("check_grid T", lambda v: check_grid(n, v), "T", period),
+        ("check_grid M", lambda v: check_grid(period=period, modules=v), "M", modules),
+        ("max_modules", max_modules, "T", period),
+        ("classical_coeffs T", lambda v: classical_coeffs(v, modules), "T", period),
+        ("classical_coeffs M", lambda v: classical_coeffs(period, v), "M", modules),
+        ("comb_coeffs", comb_coeffs, "T", period),
+        ("ModuleCoeffs", lambda v: ModuleCoeffs(v, (0.5,) * modules), "T", period),
+        ("sample_array", lambda v: sample_array(np.arange(float(n)), v), "T", period),
+        ("InterpKernel origin", lambda v: InterpKernel(np.ones(period), v, period, "x"),
+         "origin", origin),
+        ("InterpKernel T", lambda v: InterpKernel(np.ones(period), origin, v, "x"), "T", period),
+        ("sh_kernel", sh_kernel, "T", period),
+        ("li_kernel", li_kernel, "T", period),
+        ("nth_order_hold order", lambda v: nth_order_hold(v, period), "order", order),
+        ("nth_order_hold T", lambda v: nth_order_hold(order, v), "T", period),
+        ("kernel_from_id T", lambda v: kernel_from_id("li", v), "T", period),
+        # a hold order or origin inside a kernel id is text: refused on the id
+        ("kernel_from_id order", lambda v: kernel_from_id(f"hold:{v!r}", period),
+         "kernel_id", None),
+        ("kernel_from_id origin", lambda v: _custom_kernel_with_origin(tmp_dir, v),
+         "kernel_id", None),
+        ("assemble_system N", lambda v: assemble_system(sh_kernel(period), v, some, Passband(0)),
+         "N", n),
+        ("assemble_system M", lambda v: assemble_system(sh_kernel(period), n, v, Passband(0)),
+         "M", some),
+    ]
+
+
+def _same(a, b):
+    """True when two entry-point results are equal bit for bit, down to the
+    type of every field (an np.int64 period is not the int one)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+_NON_INTEGERS = st.one_of(
+    st.floats(),
+    st.floats(-1e3, 1e3).map(np.float64),
+    st.integers(-20, 20).map(float),  # integral floats are refused too, never truncated
+)
+
+
+class TestGridValuesAreIntegers:
+    """N, T, M, a kernel origin and a hold order are integers at every entry point."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(period=st.integers(1, 8), data=st.data(), value=_NON_INTEGERS)
+    def test_non_integers_raise_field_error(self, tmp_path_factory, period, data, value):
+        modules = data.draw(st.integers(0, period // 2))
+        tmp_dir = tmp_path_factory.mktemp("grid")
+        for name, call, field, _ in _grid_calls(period, modules, 2, 0, tmp_dir):
+            with pytest.raises(FieldError) as info:
+                call(value)
+            assert info.value.field == field, name
+
+    @settings(deadline=None, max_examples=30)
+    @given(period=st.integers(2, 8), data=st.data())  # assemble_system needs a module
+    def test_numpy_integers_match_plain_ints(self, tmp_path_factory, period, data):
+        modules = data.draw(st.integers(0, period // 2))
+        order = data.draw(st.integers(0, 4))
+        origin = data.draw(st.integers(0, period - 1))
+        for name, call, _, good in _grid_calls(period, modules, order, origin, None):
+            if good is not None:
+                assert _same(call(np.int64(good)), call(good)), name
