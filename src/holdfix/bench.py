@@ -111,7 +111,7 @@ class SweepSpec:
         object.__setattr__(self, "modules", tuple(as_int(m, "M") for m in self.modules))
         if self.noise_snrs_db is not None:
             object.__setattr__(self, "noise_snrs_db", tuple(map(float, self.noise_snrs_db)))
-        check_grid(self.n, self.period, guard_fraction=self.guard_fraction)
+        check_grid(self.n, self.period, band=self.k_sig, guard_fraction=self.guard_fraction)
         if not self.methods:
             raise FieldError("at least one method is required", "methods")
         unknown = sorted(set(self.methods) - set(METHODS))
@@ -123,13 +123,6 @@ class SweepSpec:
             check_grid(period=self.period, modules=m, fewest_modules=1)
         object.__setattr__(self, "trials", as_int(self.trials, "trials", 1))
         object.__setattr__(self, "master_seed", as_int(self.master_seed, "master_seed", 0))
-        nyquist_bin = self.n // (2 * self.period)
-        if self.k_sig.half_width_bins > nyquist_bin - 1:
-            raise FieldError(
-                f"signal passband {self.k_sig.half_width_bins} must stay below "
-                f"the sampling Nyquist bin {nyquist_bin}",
-                "K",
-            )
 
 
 @dataclass(frozen=True)

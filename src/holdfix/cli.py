@@ -35,7 +35,8 @@ from .optimizer import (
     solve_coefficients,
     store_coeffs,
 )
-from .signals import FieldError, Passband, check_grid, gen_bandlimited, sample_train, snr_db
+from .signals import (FieldError, Passband, check_grid, gen_bandlimited, max_passband,
+                      sample_train, snr_db)
 
 __all__ = ["main"]
 
@@ -119,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _default_passband(args) -> int:
     if args.passband is not None:
         return args.passband  # `Passband` refuses a negative one
-    check_grid(period=args.period)
-    k = args.length // (2 * args.period) - 1
+    k = max_passband(args.length, args.period)
     if k < 0:
         raise FieldError(f"passband half-width {k} is negative "
                          "(is --length too small for --period?)", "K")
@@ -168,7 +168,7 @@ def cmd_reconstruct(args) -> int:
     kernel = kernel_from_id(args.kernel, args.period)
     band = Passband(_default_passband(args))
     modules = args.modules if args.modules is not None else max_modules(args.period)
-    check_grid(period=args.period, modules=modules)
+    check_grid(args.length, args.period, band=band, modules=modules)
     if args.coeff_file is not None:
         if args.method != "optimized":
             raise CoeffFileError(

@@ -105,7 +105,7 @@ def reconstruct_array(samples: np.ndarray, bank: np.ndarray, band: Passband) -> 
     """`reconstruct` of every signal along the last axis of `samples`, given
     one period of the module bank (`module_bank`)."""
     n, period = samples.shape[-1], bank.size
-    check_grid(n, period, role="module")
+    check_grid(n, period, band=band, role="module")
     periods = samples.reshape(samples.shape[:-1] + (n // period, period))
     return lowpass_array((periods * bank).reshape(samples.shape), band)
 
@@ -126,10 +126,9 @@ def _replica_system(
     pairs = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
     deficit = 1.0 - normalized[: k_max + 1]
     system = (np.vstack([pairs.real, pairs.imag]), np.concatenate([deficit.real, deficit.imag]))
-    # bins 0 and N/2 are self-conjugate, so exactly real: zero the FFT's rounding
-    self_conjugate = [k_max + 1, 2 * k_max + 1] if 2 * k_max == n else [k_max + 1]
+    # bin 0, the one self-conjugate bin below N/2, is exactly real: zero the FFT's rounding
     for array in system:
-        array[self_conjugate] = 0.0
+        array[k_max + 1] = 0.0
         array.setflags(write=False)
     return system
 
@@ -137,7 +136,7 @@ def _replica_system(
 def replica_system(
     kernel: InterpKernel, n: int, band: Passband
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only, real-stacked `(pairs, deficit)` of `kernel` on bins k = 0..K.
+    """Read-only, real-stacked `(pairs, deficit)` of `kernel` on bins k = 0..K < N/(2T).
 
     Column j-1 of pairs holds (H(k - j N/T) + H(k + j N/T))/T for
     j = 1..floor(T/2), deficit holds 1 - H(k)/T; rows 0..K are the real
@@ -178,8 +177,8 @@ def passband_gain(
     c_0 = 1, that is 1 + pairs @ c - deficit from `replica_system` on bins
     0..K, mirrored to the negative bins as G(-k) = conj(G(k)) (the taps are
     real). Reconstruction of a signal band-limited inside the sampling
-    Nyquist bin satisfies X_hat(k) = G(k) X(k), so unit gain on the band means
-    perfect recovery.
+    Nyquist bin, the only band `check_grid` accepts here, satisfies
+    X_hat(k) = G(k) X(k), so unit gain on the band means perfect recovery.
     """
     error = _replica_error(kernel, coeffs, n, band).reshape(2, -1)
     gain = 1.0 + (error[0] + 1j * error[1])

@@ -27,6 +27,7 @@ __all__ = [
     "Passband",
     "check_grid",
     "max_modules",
+    "max_passband",
     "ideal_lowpass",
     "gen_bandlimited",
     "sample_train",
@@ -91,6 +92,11 @@ def max_modules(period: int) -> int:
     return as_int(period, "T", 1, "hold period") // 2
 
 
+def max_passband(n: int, period: int) -> int:
+    """Largest passband half-width below the sampling Nyquist bin: floor(N / 2T) - 1."""
+    return as_int(n, "N", 1, "length") // (2 * as_int(period, "T", 1, "hold period")) - 1
+
+
 def check_grid(
     n: int | None = None,
     period: int | None = None,
@@ -106,16 +112,21 @@ def check_grid(
 
     N >= 1, the `role` period (hold, sampling, kernel or module) >= 1 and
     `modules` in fewest_modules..floor(period/2), each an integer (`as_int`);
-    the period divides N; the passband half-width is <= N/2; a kernel of
+    the period divides N; the passband half-width is at most N/2, or given a
+    period `max_passband(N, T)`, below the sampling Nyquist bin; a kernel of
     `taps` taps fits in N; the SNR guard fraction dropped at each end lies in
-    [0, 0.5). Parts left at None are not checked.
+    [0, 0.5). Parts left at None are not checked, but a band or taps need N.
     """
-    if n is not None:
+    if n is not None or band is not None or taps is not None:
         n = as_int(n, "N", 1, "length")
     if period is not None:
         period = as_int(period, "T", 1, f"{role} period")
         if n is not None and n % period:
             raise FieldError(f"{role} period {period} does not divide length {n}", "N")
+    if band is not None and period is not None and band.half_width_bins > max_passband(n, period):
+        nyquist = max_passband(n, period) + 1  # 0 when N < 2T: no band fits, so N is at fault
+        raise FieldError(f"signal passband {band.half_width_bins} must stay below the sampling "
+                         f"Nyquist bin {nyquist}", "K" if nyquist else "N")
     if band is not None and band.half_width_bins > n // 2:
         raise FieldError(
             f"passband half-width {band.half_width_bins} exceeds N/2 = {n // 2}", "K"

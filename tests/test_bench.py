@@ -98,8 +98,9 @@ class TestSweepSpec:
             small_spec(master_seed=-1)
 
     def test_signal_band_stays_inside_sampling_nyquist(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             small_spec(k_sig=Passband(32))
+        assert str(info.value) == "signal passband 32 must stay below the sampling Nyquist bin 32"
 
     def test_guard_range(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,38 @@ import argparse
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from holdfix import kernels
 from holdfix.bench import METHODS, SweepSpec, run_trial
 from holdfix.cli import build_parser, main
 from holdfix.kernels import custom_kernel, kernel_from_id
-from holdfix.optimizer import assemble_system, load_coeffs, solve_coefficients
-from holdfix.signals import Passband
+from holdfix.modular import (
+    ModuleCoeffs,
+    classical_coeffs,
+    error_metric,
+    max_modules,
+    passband_gain,
+    reconstruct,
+    replica_system,
+)
+from holdfix.optimizer import (
+    CoeffFileError,
+    CoeffSolution,
+    assemble_system,
+    load_coeffs,
+    solve_coefficients,
+    store_coeffs,
+)
+from holdfix.signals import (
+    FieldError,
+    Passband,
+    Signal,
+    gen_bandlimited,
+    ideal_lowpass,
+    max_passband,
+)
 
 
 def run_cli(*argv):
@@ -456,6 +480,86 @@ class TestPassbandHint:
         err = capsys.readouterr().err
         assert err.startswith("error: --passband: ")
         assert "(is --length too small for --period?)" in err
+
+
+class TestOnePassbandRule:
+    """Every entry point where a band meets a hold period accepts K up to
+    `max_passband(N, T)` and refuses K + 1 on K; a band alone may reach N/2."""
+
+    @staticmethod
+    def library_calls(kernel, n, band):
+        period, modules = kernel.period, max_modules(kernel.period)
+        coeffs = classical_coeffs(period, modules)
+        return {
+            "replica_system": lambda: replica_system(kernel, n, band),
+            "passband_gain": lambda: passband_gain(kernel, coeffs, n, band),
+            "error_metric": lambda: error_metric(kernel, coeffs, n, band),
+            "assemble_system": lambda: assemble_system(kernel, n, modules, band),
+            "CoeffSolution": lambda: CoeffSolution(coeffs, 0.0, kernel.id, n,
+                                                   band.half_width_bins),
+            "SweepSpec": lambda: SweepSpec(kernel.id, period, n, band, ("classical",),
+                                           (modules,), 1, 0),
+            "reconstruct": lambda: reconstruct(Signal(np.ones(n)), coeffs, band),
+        }
+
+    @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:2"])
+    @pytest.mark.parametrize("period", [2, 3, 8, 16])
+    @pytest.mark.parametrize("blocks", [2, 64])
+    def test_accepts_max_passband_and_refuses_one_more(
+        self, kernel_id, period, blocks, tmp_path, capsys
+    ):
+        kernel = kernel_from_id(kernel_id, period)
+        # hold:2 is longer than 2T from T = 3 on: take the shortest grid that holds it
+        n = period * max(blocks, -(-kernel.taps.size // period))
+        k_max = max_passband(n, period)
+        assert k_max == n // period // 2 - 1
+        grid = ["--kernel", kernel_id, "--period", str(period), "--length", str(n)]
+        modules = ["--modules", str(max_modules(period))]
+
+        for call in self.library_calls(kernel, n, Passband(k_max)).values():
+            call()
+        coeff_file = tmp_path / "c.json"
+        assert run_cli("solve", *grid, *modules, "--passband", str(k_max),
+                       "--out", str(coeff_file)) == 0
+        assert load_coeffs(coeff_file).passband == k_max
+        for method in METHODS:
+            assert run_cli("reconstruct", *grid, "--passband", str(k_max),
+                           "--method", method) == 0
+        capsys.readouterr()
+
+        for name, call in self.library_calls(kernel, n, Passband(k_max + 1)).items():
+            with pytest.raises(FieldError) as info:
+                call()
+            assert info.value.field == "K", name
+            assert str(info.value) == (
+                f"signal passband {k_max + 1} must stay below the sampling Nyquist bin {k_max + 1}"
+            ), name
+        data = json.loads(coeff_file.read_text())
+        data["K"] = k_max + 1
+        coeff_file.write_text(json.dumps(data))
+        with pytest.raises(CoeffFileError) as info:
+            load_coeffs(coeff_file)
+        assert info.value.field == "K"
+
+        refused = tmp_path / "refused.json"
+        commands = [["solve", *modules, "--out", str(refused)]]
+        commands += [["reconstruct", "--method", method] for method in METHODS]
+        for command in commands:
+            assert run_cli(*command, *grid, "--passband", str(k_max + 1)) == 2
+            assert capsys.readouterr().err.startswith("error: --passband: ")
+        assert not refused.exists()
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_band_alone_reaches_half_the_length(self, n):
+        band = Passband(n // 2)
+        x = gen_bandlimited(n, band, 1.0, 0)
+        np.testing.assert_allclose(ideal_lowpass(x, band).samples, x.samples, atol=1e-12)
+        too_wide = Passband(n // 2 + 1)
+        for call in (lambda: ideal_lowpass(x, too_wide),
+                     lambda: gen_bandlimited(n, too_wide, 1.0, 0)):
+            with pytest.raises(FieldError, match=f"exceeds N/2 = {n // 2}") as info:
+                call()
+            assert info.value.field == "K"
 
 
 # Each row: a command line whose validation must fail, and the flag at fault.

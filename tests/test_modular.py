@@ -26,7 +26,15 @@ from holdfix.modular import (
     replica_system,
 )
 from holdfix.optimizer import assemble_system, load_coeffs, solve_coefficients, store_coeffs
-from holdfix.signals import Passband, Signal, gen_bandlimited, ideal_lowpass, sample_train
+from holdfix.signals import (
+    FieldError,
+    Passband,
+    Signal,
+    gen_bandlimited,
+    ideal_lowpass,
+    max_passband,
+    sample_train,
+)
 
 
 class TestMaxModules:
@@ -244,18 +252,26 @@ def replica_cases(draw):
     kernel_id = draw(st.sampled_from(["sh", "li", "hold:2", "custom"]))
     kernel = (negative_tap_kernel(period) if kernel_id == "custom"
               else kernel_from_id(kernel_id, period))
-    n = period * draw(st.integers(-(-kernel.taps.size // period), 12))
+    n = period * draw(st.integers(max(2, -(-kernel.taps.size // period)), 12))
     modules = draw(st.integers(0, max_modules(period)))
-    k_max = draw(st.integers(0, n // 2))
+    k_max = draw(st.integers(0, max_passband(n, period)))
     weights = draw(st.lists(st.floats(-5, 5), min_size=modules, max_size=modules))
-    return kernel, n, modules, Passband(k_max), weights
+    # a band from the sampling Nyquist bin up to N/2, which every entry point refuses
+    refused = Passband(draw(st.integers(max_passband(n, period) + 1, n // 2)))
+    return kernel, n, modules, Passband(k_max), weights, refused
+
+
+def assert_refused(call):
+    with pytest.raises(FieldError) as info:
+        call()
+    assert info.value.field == "K"
 
 
 class TestReplicaMatrixMatchesLoop:
     @settings(deadline=None, max_examples=150)
     @given(case=replica_cases())
     def test_gain_system_and_response_match_loop(self, case):
-        kernel, n, modules, band, weights = case
+        kernel, n, modules, band, weights, refused = case
         k_max = band.half_width_bins
         normalized, pairs = loop_replicas(kernel, n, np.arange(-k_max, k_max + 1))
 
@@ -270,12 +286,15 @@ class TestReplicaMatrixMatchesLoop:
             system = assemble_system(kernel, n, modules, band)
             rows = pairs[k_max:, :modules]  # bins 0..K
             deficit = 1.0 - normalized[np.arange(k_max + 1)]
-            # bins 0 and N/2 are their own conjugates: the system keeps their real part
-            self_conjugate = [0, k_max] if 2 * k_max == n else [0]
-            rows.imag[self_conjugate] = 0.0
-            deficit.imag[self_conjugate] = 0.0
+            # bin 0 is its own conjugate: the system keeps its real part
+            rows.imag[0] = 0.0
+            deficit.imag[0] = 0.0
             assert np.array_equal(system.matrix, np.vstack([rows.real, rows.imag]))
             assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
+            assert_refused(lambda: assemble_system(kernel, n, modules, refused))
+        coeffs = ModuleCoeffs(kernel.period, weights)
+        assert_refused(lambda: passband_gain(kernel, coeffs, n, refused))
+        assert_refused(lambda: replica_system(kernel, n, refused))
 
 
 class TestOneReplicaSystem:
@@ -284,9 +303,11 @@ class TestOneReplicaSystem:
     @settings(deadline=None, max_examples=100)
     @given(case=replica_cases())
     def test_symmetric_gain_and_stored_residual_is_metric(self, case):
-        kernel, n, modules, band, weights = case
-        gain = passband_gain(kernel, ModuleCoeffs(kernel.period, weights), n, band)
+        kernel, n, modules, band, weights, refused = case
+        coeffs = ModuleCoeffs(kernel.period, weights)
+        gain = passband_gain(kernel, coeffs, n, band)
         assert np.array_equal(gain, np.conj(gain[::-1]))
+        assert_refused(lambda: error_metric(kernel, coeffs, n, refused))
         if modules >= 1:
             solution = solve_coefficients(assemble_system(kernel, n, modules, band))
             with tempfile.TemporaryDirectory() as tmp:
@@ -295,13 +316,14 @@ class TestOneReplicaSystem:
                 loaded = load_coeffs(path)
             assert error_metric(kernel, loaded.coeffs, n, band) == loaded.residual
 
-    @pytest.mark.parametrize("k_max", [0, 5])
+    @pytest.mark.parametrize("k_max", [0, 1])
     def test_self_conjugate_rows_are_exactly_real(self, k_max):
         # the FFT of hold:2 at T = 2, N = 10 leaves about 1e-17 of imaginary
-        # rounding on bins 0 and N/2, which real taps make exactly real
+        # rounding on bin 0, which real taps make exactly real
         kernel, band = kernel_from_id("hold:2", 2), Passband(k_max)
         pairs, deficit = replica_system(kernel, 10, band)
-        imag_rows = [k_max + 1, 2 * k_max + 1]  # Im of bin 0 and of bin K (N/2 at K = 5)
-        assert not pairs[imag_rows].any() and not deficit[imag_rows].any()
+        assert not pairs[k_max + 1].any() and not deficit[k_max + 1]  # Im of bin 0
         gain = passband_gain(kernel, ModuleCoeffs(2, (0.7,)), 10, band)
         assert gain[k_max].imag == 0.0
+        # bin N/2 = 5, the other self-conjugate bin, lies past the sampling Nyquist bin 2
+        assert_refused(lambda: replica_system(kernel, 10, Passband(5)))

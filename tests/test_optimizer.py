@@ -27,7 +27,7 @@ from holdfix.optimizer import (
     solve_coefficients,
     store_coeffs,
 )
-from holdfix.signals import FieldError, Passband, check_grid
+from holdfix.signals import FieldError, Passband, check_grid, max_passband
 
 
 def dft_naive(x):
@@ -65,25 +65,32 @@ class TestReplicaResponse:
     """Folded replica responses: the columns of `replica_system`, unstacked."""
 
     def test_sh2_pair_collapses_to_one_bin(self):
-        n = 64
+        n = 128  # K = 31 lies below the sampling Nyquist bin 32
         w = np.exp(-2j * np.pi / n)
         pairs = unstack(replica_system(sh_kernel(2), n, Passband(31))[0])
         for k in (0, 1, 5, 17, 31):
             assert pairs[k, 0] == pytest.approx(1.0 - w**k, abs=1e-12)
+        with pytest.raises(FieldError) as info:  # at N = 64 the sampling Nyquist bin is 16
+            replica_system(sh_kernel(2), 64, Passband(31))
+        assert info.value.field == "K"
 
     def test_matches_modulated_taps_dft(self):
         # the folded pair equals (1/T) * DFT of taps * 2cos(2 pi j t / T)
         kernel = sh_kernel(2)
-        n = 16
+        n = 16 * kernel.period  # bins 0..7 lie below the sampling Nyquist bin 8
         aligned = np.zeros(n)
         aligned[(np.arange(kernel.taps.size) - kernel.origin) % n] = kernel.taps
         modulated = aligned * 2.0 * np.cos(np.pi * np.arange(n))
         oracle = dft_naive(modulated) / kernel.period
-        pairs = unstack(replica_system(kernel, n, Passband(n // 2))[0])
-        for k in range(n // 2 + 1):
+        pairs = unstack(replica_system(kernel, n, Passband(max_passband(n, 2)))[0])
+        for k in range(max_passband(n, 2) + 1):
             assert pairs[k, 0] == pytest.approx(
                 oracle[k], abs=1e-11
             )
+        for n, k_max in ((32, 8), (16, 8)):  # at or above the sampling Nyquist bin
+            with pytest.raises(FieldError) as info:
+                replica_system(kernel, n, Passband(k_max))
+            assert info.value.field == "K"
 
     def test_li2_null_at_nyquist_shift(self):
         pairs = unstack(replica_system(li_kernel(2), 8, Passband(0))[0])
@@ -152,7 +159,8 @@ def cache_calls(draw):
     # few grids, so that calls revisit cached systems and kernels collide
     period = draw(st.sampled_from([3, 4, 6]))
     n = period * draw(st.sampled_from([4, 8]))
-    k_max = draw(st.sampled_from([0, n // 4, n // 2]))
+    # K past max_passband (up to N/2) must be refused, and leave the cache as it was
+    k_max = draw(st.sampled_from([0, 1, max_passband(n, period), n // 4, n // 2]))
     modules = draw(st.integers(1, max_modules(period)))
     return name, period, n, k_max, modules
 
@@ -162,12 +170,20 @@ class TestSystemCache:
 
     @settings(deadline=None, max_examples=60)
     @given(calls=st.lists(cache_calls(), min_size=1, max_size=40))
-    @example(calls=[("custom-a", 4, 16, 3, 1), ("custom-b", 4, 16, 3, 1)])
-    @example(calls=[("sh", 4, 16, 3, 2), ("sh", 4, 16, 3, 1), ("sh", 4, 16, 5, 1)])
+    @example(calls=[("custom-a", 4, 32, 3, 1), ("custom-b", 4, 32, 3, 1)])
+    @example(calls=[("sh", 4, 48, 3, 2), ("sh", 4, 48, 3, 1), ("sh", 4, 48, 5, 1)])
+    @example(calls=[("sh", 4, 16, 3, 1), ("sh", 4, 16, 5, 1)])  # K > max_passband = 1
     def test_matches_uncached_build(self, calls):
         modular._replica_system.cache_clear()
         for name, period, n, k_max, modules in calls:
             kernel = cache_case_kernel(name, period)
+            if k_max > max_passband(n, period):
+                before = modular._replica_system.cache_info()
+                with pytest.raises(FieldError) as info:
+                    assemble_system(kernel, n, modules, Passband(k_max))
+                assert info.value.field == "K"
+                assert modular._replica_system.cache_info() == before
+                continue
             system = assemble_system(kernel, n, modules, Passband(k_max))
             base, pairs = loop_replicas(kernel, n, k_max)
             pairs, deficit = pairs[:, :modules], 1.0 - base
@@ -305,6 +321,7 @@ class TestSolve:
         (4, 0, 0, "N"),
         (16, 100, 7, "N"),  # T = 16 does not divide N
         (4, 64, 40, "K"),  # above N/2 = 32
+        (4, 64, 8, "K"),  # at the sampling Nyquist bin 64 / (2 * 4)
         (4, 64, -1, "K"),
     ])
     def test_solution_refuses_impossible_grid(self, period, n, passband, field):
@@ -441,6 +458,7 @@ class TestCoeffStore:
         pytest.param("coefficients", [10**400, 0.25], id="coefficients-huge-int"),
         ("coefficients", [1, 0.25]),  # `store_coeffs` writes floats only
         ("residual", 0),
+        ("K", 8),  # at the sampling Nyquist bin 64 / (2 * 4)
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "coeffs.json"

@@ -38,6 +38,7 @@ from holdfix.signals import (
     noise_array,
     lowpass_array,
     max_modules,
+    max_passband,
     normal_array,
     sample_array,
     sample_train,
@@ -361,6 +362,7 @@ def _spec(**overrides):
     (lambda: frequency_response(li_kernel(4), 4), "N"),
     (lambda: reconstruct_array(np.ones(10), np.ones(4), Passband(1)), "N"),
     (lambda: reconstruct(Signal(np.ones(10)), comb_coeffs(4), Passband(1)), "N"),
+    (lambda: reconstruct(Signal(np.ones(64)), comb_coeffs(4), Passband(8)), "K"),
     (lambda: ModuleCoeffs(4, (1.0, 1.0, 1.0)), "M"),
     (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 64, Passband(40)), "K"),
     (lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 66, Passband(7)), "N"),
@@ -377,6 +379,12 @@ def _spec(**overrides):
     (lambda: _spec(n=250), "N"),
     (lambda: _spec(modules=(3,)), "M"),
     (lambda: _spec(k_sig=Passband(32)), "K"),
+    (lambda: _spec(n=4, k_sig=Passband(0)), "N"),  # N < 2T: no passband fits
+    (lambda: check_grid(4, 4, band=Passband(0)), "N"),
+    (lambda: check_grid(8, 4, band=Passband(1)), "K"),
+    # a band or a kernel's taps are measured against N, so they need it
+    pytest.param(lambda: check_grid(band=Passband(3)), "N", id="check_grid-band-without-N"),
+    pytest.param(lambda: check_grid(taps=3), "N", id="check_grid-taps-without-N"),
     (lambda: _spec(methods=()), "methods"),
     (lambda: _spec(trials=0), "trials"),
     (lambda: _spec(master_seed=-1), "master_seed"),
@@ -401,6 +409,8 @@ def _spec(**overrides):
                  id="assemble_system-n-64.0"),
     pytest.param(lambda: sample_array(np.ones(8), 2.0), "T", id="sample_array-period-2.0"),
     pytest.param(lambda: max_modules(4.0), "T", id="max_modules-4.0"),
+    pytest.param(lambda: max_passband(64, 4.0), "T", id="max_passband-period-4.0"),
+    pytest.param(lambda: max_passband(64.0, 4), "N", id="max_passband-n-64.0"),
     pytest.param(lambda: comb_coeffs(4.0), "T", id="comb_coeffs-4.0"),
     pytest.param(lambda: sh_kernel(4.0), "T", id="sh_kernel-4.0"),
     pytest.param(lambda: li_kernel(4.0), "T", id="li_kernel-4.0"),
@@ -434,6 +444,8 @@ def _grid_calls(period, modules, order, origin, tmp_dir):
         ("check_grid T", lambda v: check_grid(n, v), "T", period),
         ("check_grid M", lambda v: check_grid(period=period, modules=v), "M", modules),
         ("max_modules", max_modules, "T", period),
+        ("max_passband N", lambda v: max_passband(v, period), "N", n),
+        ("max_passband T", lambda v: max_passband(n, v), "T", period),
         ("classical_coeffs T", lambda v: classical_coeffs(v, modules), "T", period),
         ("classical_coeffs M", lambda v: classical_coeffs(period, v), "M", modules),
         ("comb_coeffs", comb_coeffs, "T", period),
