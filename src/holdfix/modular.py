@@ -192,8 +192,7 @@ def error_metric(
 
     The magnitude square makes the metric meaningful for causal kernels,
     whose responses are complex; for zero-phase kernels it reduces to a plain
-    square. It is the `passband_energy` of pairs @ c - deficit, the very
-    expression `optimizer.solve_coefficients` stores as its residual, so a
-    stored residual equals this metric at the stored weights exactly.
+    square. It is the `passband_energy` of pairs @ c - deficit, and
+    `optimizer.solve_coefficients` stores it as the residual of its solution.
     """
     return passband_energy(_replica_error(kernel, coeffs, n, band))

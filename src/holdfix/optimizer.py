@@ -4,10 +4,10 @@ The design system is `modular.replica_system`: the real-stacked replica
 pairs and unity-gain deficit on bins 0..K, whose least-squares solution
 minimizes the replica-sum error (negative bins are conjugates of positive
 ones, so `modular.passband_energy` counts every k >= 1 term twice). A
-`DesignSystem` holds that cache's own read-only arrays, its matrix a view of
-the first M columns, and the stored residual is exactly `modular.error_metric`
-at the stored weights. `solve_coefficients` refuses a hand-built system with
-a non-finite entry.
+`DesignSystem` is the request (kernel, N, M, band): it checks the grid and
+takes its arrays from that cache only, its matrix a read-only view of the
+first M columns, so no caller can hand it other arrays. `solve_coefficients`
+stores `modular.error_metric` at the solved weights as the residual.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused. A `CoeffSolution` owns the
@@ -23,14 +23,14 @@ import contextlib
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import InterpKernel
-from .modular import ModuleCoeffs, passband_energy, replica_system
+from .modular import ModuleCoeffs, error_metric, replica_system
 from .signals import FieldError, Passband, as_int, check_grid
 
 __all__ = [
@@ -58,15 +58,24 @@ class CoeffFileError(FieldError):
 
 @dataclass(frozen=True, eq=False)
 class DesignSystem:
-    """Real-stacked least-squares system for the module weights: `matrix` is
-    the first M columns of `modular.replica_system`'s pairs, `target` its deficit."""
+    """Real-stacked least-squares system for M module weights, set from the cache:
+    `matrix` is the first M columns of `modular.replica_system`'s pairs, `target` its deficit."""
 
-    matrix: np.ndarray
-    target: np.ndarray
-    kernel_id: str
-    period: int
+    kernel: InterpKernel
     n: int
-    passband: int
+    modules: int
+    band: Passband
+    matrix: np.ndarray = field(init=False, repr=False)
+    target: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        check_grid(self.n, self.kernel.period, band=self.band, modules=self.modules,
+                   fewest_modules=1)
+        object.__setattr__(self, "n", as_int(self.n, "N"))  # ints, as in its CoeffSolution
+        object.__setattr__(self, "modules", as_int(self.modules, "M"))
+        pairs, deficit = replica_system(self.kernel, self.n, self.band)
+        object.__setattr__(self, "matrix", pairs[:, : self.modules])
+        object.__setattr__(self, "target", deficit)
 
 
 @dataclass(frozen=True)
@@ -102,38 +111,25 @@ def assemble_system(
     sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period. The
     arrays are views of the cached `modular.replica_system`, not copies.
     """
-    check_grid(n, kernel.period, band=band, modules=modules, fewest_modules=1)
-    matrix, target = replica_system(kernel, n, band)
-    return DesignSystem(
-        matrix=matrix[:, :modules],
-        target=target,
-        kernel_id=kernel.id,
-        period=kernel.period,
-        n=as_int(n, "N"),  # an int, as in the CoeffSolution solved from it
-        passband=band.half_width_bins,
-    )
+    return DesignSystem(kernel, n, modules, band)
 
 
 def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     """Minimum-norm least-squares solve of the stacked system.
 
-    The reported residual is the `passband_energy` of the stacked error,
-    exactly `error_metric` evaluated at the returned coefficients. A
+    The reported residual is `error_metric` at the returned coefficients. A
     rank-deficient matrix still yields the minimum-norm solution, flagged
     rather than silently returned.
     """
-    matrix, target = system.matrix, system.target
-    # LAPACK would print DLASCL errors on a non-finite entry and return garbage
-    if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
-        raise ValueError("design system entries must all be finite")
-    c, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
+    c, _, rank, _ = np.linalg.lstsq(system.matrix, system.target, rcond=None)
+    coeffs = ModuleCoeffs(system.kernel.period, c)
     return CoeffSolution(
-        coeffs=ModuleCoeffs(system.period, tuple(float(v) for v in c)),
-        residual=passband_energy(matrix @ c - target),
-        kernel_id=system.kernel_id,
+        coeffs=coeffs,
+        residual=error_metric(system.kernel, coeffs, system.n, system.band),
+        kernel_id=system.kernel.id,
         n=system.n,
-        passband=system.passband,
-        rank_deficient=rank < matrix.shape[1],
+        passband=system.band.half_width_bins,
+        rank_deficient=rank < system.modules,
     )
 
 
@@ -155,14 +151,17 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
     }
     path = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        while True:  # a fresh random name per try, as mkstemp, but not mkstemp's mode 0600
+            with contextlib.suppress(FileExistsError):  # "x": mode 0666 less the umask
+                fh = open(path.parent / f"tmp{secrets.token_hex(8)}.tmp", "x")
+                break
         try:
-            with os.fdopen(fd, "w") as fh:  # dumps: json.dump's pure-Python encoder is slower
+            with fh:  # dumps: json.dump's pure-Python encoder is slower
                 fh.write(json.dumps(payload) + "\n")
-            os.replace(tmp_name, path)
+            os.replace(fh.name, path)
         except BaseException:
             with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
+                os.unlink(fh.name)
             raise
     except OSError as exc:  # name the file asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from holdfix.kernels import (
     InterpKernel,
-    frequency_response,
     interpolate,
     kernel_from_id,
     li_kernel,
@@ -35,6 +34,8 @@ from holdfix.signals import (
     max_passband,
     sample_train,
 )
+
+from replica_oracle import loop_replicas, loop_system
 
 
 class TestMaxModules:
@@ -230,17 +231,6 @@ class TestFrequencyTimeEquivalence:
         assert rel < 1e-9
 
 
-def loop_replicas(kernel, n, bins):
-    """Oracle: the normalized response and the folded replica pairs, built one
-    module at a time as the optimizer and passband_gain once did."""
-    normalized = frequency_response(kernel, n) / kernel.period
-    shift = n // kernel.period
-    pairs = np.empty((bins.size, max_modules(kernel.period)), dtype=complex)
-    for j in range(1, pairs.shape[1] + 1):
-        pairs[:, j - 1] = normalized[(bins - j * shift) % n] + normalized[(bins + j * shift) % n]
-    return normalized, pairs
-
-
 def negative_tap_kernel(period):
     taps = np.concatenate([[-0.25], np.ones(period), [0.25]])
     return InterpKernel(taps, 1, period, "custom:negative-tap")
@@ -273,9 +263,7 @@ class TestReplicaMatrixMatchesLoop:
     def test_gain_system_and_response_match_loop(self, case):
         kernel, n, modules, band, weights, refused = case
         k_max = band.half_width_bins
-        normalized, pairs = loop_replicas(kernel, n, np.arange(-k_max, k_max + 1))
-
-        gain = normalized[np.arange(-k_max, k_max + 1) % n].astype(complex)
+        gain, pairs = loop_replicas(kernel, n, np.arange(-k_max, k_max + 1))
         for j, weight in enumerate(weights, start=1):
             gain += weight * pairs[:, j - 1]
         got = passband_gain(kernel, ModuleCoeffs(kernel.period, weights), n, band)
@@ -284,13 +272,9 @@ class TestReplicaMatrixMatchesLoop:
 
         if modules >= 1:
             system = assemble_system(kernel, n, modules, band)
-            rows = pairs[k_max:, :modules]  # bins 0..K
-            deficit = 1.0 - normalized[np.arange(k_max + 1)]
-            # bin 0 is its own conjugate: the system keeps its real part
-            rows.imag[0] = 0.0
-            deficit.imag[0] = 0.0
-            assert np.array_equal(system.matrix, np.vstack([rows.real, rows.imag]))
-            assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
+            matrix, target = loop_system(kernel, n, k_max, modules)
+            assert np.array_equal(system.matrix, matrix)
+            assert np.array_equal(system.target, target)
             assert_refused(lambda: assemble_system(kernel, n, modules, refused))
         coeffs = ModuleCoeffs(kernel.period, weights)
         assert_refused(lambda: passband_gain(kernel, coeffs, n, refused))

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holdfix import modular
-from holdfix.kernels import InterpKernel, frequency_response, kernel_from_id, li_kernel, sh_kernel
+from holdfix.kernels import InterpKernel, kernel_from_id, li_kernel, sh_kernel
 from holdfix.modular import (
     ModuleCoeffs,
     classical_coeffs,
@@ -21,6 +23,7 @@ from holdfix.optimizer import (
     COEFF_SCHEMA,
     CoeffFileError,
     CoeffSolution,
+    DesignSystem,
     assemble_system,
     check_solution_matches,
     load_coeffs,
@@ -28,6 +31,8 @@ from holdfix.optimizer import (
     store_coeffs,
 )
 from holdfix.signals import FieldError, Passband, check_grid, max_passband
+
+from replica_oracle import loop_system
 
 
 def dft_naive(x):
@@ -42,17 +47,6 @@ GRID = [
     for period in (4, 8, 16)
     for modules in range(1, period // 2 + 1)
 ]
-
-
-def loop_replicas(kernel, n, k_max):
-    """Oracle: H(k)/T and the folded replica pairs on bins 0..K, built one
-    module at a time."""
-    normalized = frequency_response(kernel, n) / kernel.period
-    shift, k = n // kernel.period, np.arange(k_max + 1)
-    pairs = np.empty((k_max + 1, max_modules(kernel.period)), dtype=complex)
-    for j in range(1, pairs.shape[1] + 1):
-        pairs[:, j - 1] = normalized[(k - j * shift) % n] + normalized[(k + j * shift) % n]
-    return normalized[k], pairs
 
 
 def unstack(stacked):
@@ -171,6 +165,10 @@ class TestSystemCache:
     @settings(deadline=None, max_examples=60)
     @given(calls=st.lists(cache_calls(), min_size=1, max_size=40))
     @example(calls=[("custom-a", 4, 32, 3, 1), ("custom-b", 4, 32, 3, 1)])
+    # the FFT leaves Im of pair bin 0 at 2.8e-17 (custom-a, column 1) and
+    # 5.6e-17 (custom-b, column 2), which the system zeroes
+    @example(calls=[("custom-a", 4, 48, 5, 1)])
+    @example(calls=[("custom-b", 4, 48, 5, 2)])
     @example(calls=[("sh", 4, 48, 3, 2), ("sh", 4, 48, 3, 1), ("sh", 4, 48, 5, 1)])
     @example(calls=[("sh", 4, 16, 3, 1), ("sh", 4, 16, 5, 1)])  # K > max_passband = 1
     def test_matches_uncached_build(self, calls):
@@ -185,11 +183,10 @@ class TestSystemCache:
                 assert modular._replica_system.cache_info() == before
                 continue
             system = assemble_system(kernel, n, modules, Passband(k_max))
-            base, pairs = loop_replicas(kernel, n, k_max)
-            pairs, deficit = pairs[:, :modules], 1.0 - base
-            assert np.array_equal(system.matrix, np.vstack([pairs.real, pairs.imag]))
-            assert np.array_equal(system.target, np.concatenate([deficit.real, deficit.imag]))
-            assert system.kernel_id == kernel.id
+            matrix, target = loop_system(kernel, n, k_max, modules)
+            assert np.array_equal(system.matrix, matrix)
+            assert np.array_equal(system.target, target)
+            assert system.kernel is kernel
             info = modular._replica_system.cache_info()
             assert info.currsize <= modular._SYSTEM_CACHE_SIZE == info.maxsize
             full = replica_system(kernel, n, Passband(k_max))
@@ -292,25 +289,38 @@ class TestSolve:
         assert len(solved.coeffs.c) == 3
 
     @pytest.mark.parametrize("part", ["matrix", "target"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_refuses_nonfinite_system_before_lapack(self, part, bad, capfd):
+    def test_arrays_come_only_from_the_cache(self, part):
         system = assemble_system(sh_kernel(4), 64, 2, Passband(7))
-        array = np.array(getattr(system, part))
-        array[1] = bad
-        hand_built = replace(system, **{part: array})
-        with pytest.raises(ValueError, match="design system entries must all be finite"):
-            solve_coefficients(hand_built)
-        assert "DLASCL" not in capfd.readouterr().err
+        other = np.zeros_like(getattr(system, part))
+        with pytest.raises(ValueError, match=part):
+            replace(system, **{part: other})
+        with pytest.raises(TypeError, match=part):
+            DesignSystem(sh_kernel(4), 64, 2, Passband(7), **{part: other})
+        # a replaced request reads the cache again
+        one = replace(system, modules=1)
+        assert one.matrix.shape == (16, 1) and np.shares_memory(one.matrix, system.matrix)
 
-    @pytest.mark.parametrize("taps, modules", [(np.ones(16), 8), ([2.0, 14.0], 2)])
-    def test_refuses_overflowing_residual(self, taps, modules):
-        # a hand-built system with entries near 1e200: the weights are finite,
-        # but the replica-sum error overflows to inf
-        system = assemble_system(InterpKernel(taps, 0, 16, "custom:t"), 256, modules, Passband(7))
-        huge = replace(system, matrix=system.matrix * 1e200, target=system.target * 1e200)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="residual must be finite"):
-                solve_coefficients(huge)
+    def test_widest_accepted_taps_give_a_finite_system(self):
+        # taps at InterpKernel's absolute-sum bound (7.2e7 at T = 16) bound every
+        # |H(k)|, so the cached system, and the residual, which is at most the
+        # target's energy, stay finite
+        kernel = InterpKernel([3.6e7, -3.6e7, 16.0], 0, 16, "custom:spread")
+        for modules in range(1, max_modules(16) + 1):
+            system = assemble_system(kernel, 256, modules, Passband(7))
+            assert np.isfinite(system.matrix).all() and np.isfinite(system.target).all()
+            assert np.isfinite(solve_coefficients(system).residual)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_stored_residual_is_error_metric(self, data):
+        name = data.draw(st.sampled_from(["sh", "li", "hold:2", "custom-b"]))
+        period = data.draw(st.integers(2, 16))
+        kernel = cache_case_kernel(name, period)
+        n = period * data.draw(st.integers(max(2, -(-kernel.taps.size // period)), 16))
+        band = Passband(data.draw(st.integers(0, max_passband(n, period))))
+        modules = data.draw(st.integers(1, max_modules(period)))
+        solution = solve_coefficients(assemble_system(kernel, n, modules, band))
+        assert solution.residual == error_metric(kernel, solution.coeffs, n, band)
 
     @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -1.0])
     def test_solution_residual_must_be_finite_and_non_negative(self, residual):
@@ -381,6 +391,30 @@ class TestCoeffStore:
         assert loaded.kernel_id == solution.kernel_id
         assert loaded.n == solution.n
         assert loaded.passband == solution.passband
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_file_mode_follows_the_umask(self, tmp_path, umask):
+        # as a plain open(path, "w") gives a new file, for a new and a rewritten one
+        path = tmp_path / "coeffs.json"
+        saved = os.umask(umask)
+        try:
+            store_coeffs(self._solution(), path)
+            created = stat.S_IMODE(path.stat().st_mode)
+            path.chmod(0o644)
+            store_coeffs(self._solution(), path)
+            rewritten = stat.S_IMODE(path.stat().st_mode)
+        finally:
+            os.umask(saved)
+        assert created == rewritten == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_replace_names_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError) as info:
+            store_coeffs(self._solution(), path)
+        assert info.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("kernel_id", ["sh", "li", "hold:2", "hold:3"])
     @pytest.mark.parametrize("period", [8, 16])
