@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record one timed and one traced benchmark run of this checkout in one file.
 
-    python3 scripts/bench_record.py --pr 21 [--seed 0] [--seconds 35]
+    python3 scripts/bench_record.py --pr N [--seed 0] [--seconds 35]
     python3 scripts/bench_record.py --seconds 1 --out BENCH_ci.json
 
 Runs `python3 perfbench/run.py --workload all --seed S --seconds T` with

@@ -82,7 +82,8 @@ class TestBuildRecord:
         assert problems == ["--trace 0 run exited 1"]
 
     def test_no_provenance_line(self):
-        result, provenance = bench_record.parse_run("only a line\n" + json.dumps({"correct": True}))
+        stdout = "only a line\n" + json.dumps({"correct": True})
+        result, provenance = bench_record.parse_run(stdout)
         assert result == {"correct": True} and provenance is None
 
 

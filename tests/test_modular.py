@@ -294,6 +294,7 @@ class TestOneReplicaSystem:
         assert_refused(lambda: error_metric(kernel, coeffs, n, refused))
         if modules >= 1:
             solution = solve_coefficients(assemble_system(kernel, n, modules, band))
+            assert solution.residual == error_metric(kernel, solution.coeffs, n, band)
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "coeffs.json"
                 store_coeffs(solution, path)

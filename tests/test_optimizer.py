@@ -152,7 +152,7 @@ def cache_calls(draw):
     name = draw(st.sampled_from(["sh", "li", "hold:2", "custom-a", "custom-b"]))
     # few grids, so that calls revisit cached systems and kernels collide
     period = draw(st.sampled_from([3, 4, 6]))
-    n = period * draw(st.sampled_from([4, 8]))
+    n = period * draw(st.sampled_from([4, 8, 12]))  # 48 at T = 4: custom kernels round Im of bin 0
     # K past max_passband (up to N/2) must be refused, and leave the cache as it was
     k_max = draw(st.sampled_from([0, 1, max_passband(n, period), n // 4, n // 2]))
     modules = draw(st.integers(1, max_modules(period)))
@@ -299,28 +299,6 @@ class TestSolve:
         # a replaced request reads the cache again
         one = replace(system, modules=1)
         assert one.matrix.shape == (16, 1) and np.shares_memory(one.matrix, system.matrix)
-
-    def test_widest_accepted_taps_give_a_finite_system(self):
-        # taps at InterpKernel's absolute-sum bound (7.2e7 at T = 16) bound every
-        # |H(k)|, so the cached system, and the residual, which is at most the
-        # target's energy, stay finite
-        kernel = InterpKernel([3.6e7, -3.6e7, 16.0], 0, 16, "custom:spread")
-        for modules in range(1, max_modules(16) + 1):
-            system = assemble_system(kernel, 256, modules, Passband(7))
-            assert np.isfinite(system.matrix).all() and np.isfinite(system.target).all()
-            assert np.isfinite(solve_coefficients(system).residual)
-
-    @settings(deadline=None, max_examples=100)
-    @given(data=st.data())
-    def test_stored_residual_is_error_metric(self, data):
-        name = data.draw(st.sampled_from(["sh", "li", "hold:2", "custom-b"]))
-        period = data.draw(st.integers(2, 16))
-        kernel = cache_case_kernel(name, period)
-        n = period * data.draw(st.integers(max(2, -(-kernel.taps.size // period)), 16))
-        band = Passband(data.draw(st.integers(0, max_passband(n, period))))
-        modules = data.draw(st.integers(1, max_modules(period)))
-        solution = solve_coefficients(assemble_system(kernel, n, modules, band))
-        assert solution.residual == error_metric(kernel, solution.coeffs, n, band)
 
     @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -1.0])
     def test_solution_residual_must_be_finite_and_non_negative(self, residual):
