@@ -7,9 +7,11 @@
 Runs `python3 perfbench/run.py --workload all --seed S --seconds T` with
 `--trace 0` and then `--trace 1`, and writes BENCH_<pr>.json (or --out) at
 the root of the checkout: for each run its command, exit status, provenance
-line and final JSON object, plus the seed, the seconds and `git rev-parse
-HEAD`. The file is written either way; the exit status is 1 when a run exits
-non-zero, prints no final JSON object, or reports "correct" other than true.
+line and final JSON object, plus the seed, the seconds, `git rev-parse HEAD`
+and the paths `git status --porcelain` lists beside it ("uncommitted", empty
+when the measured tree is the committed one). The file is written either
+way; the exit status is 1 when a run exits non-zero, prints no final JSON
+object, or reports "correct" other than true.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ def parse_run(stdout: str) -> tuple[dict | None, dict | None]:
     return result, provenance
 
 
-def build_record(runs, *, seed: int, seconds: int, head: str | None) -> tuple[dict, list[str]]:
+def build_record(runs, *, seed: int, seconds: int, head: str | None,
+                 uncommitted: list[str] | None = None) -> tuple[dict, list[str]]:
     """The record of `runs`, (trace, command, exit status, stdout) each, and
-    the reasons it fails, one per failing run, empty when every run passed."""
-    record = {"head": head, "seed": seed, "seconds": seconds, "runs": []}
+    the reasons it fails, one per failing run, empty when every run passed.
+    `head` and `uncommitted` are None when the checkout's state is unknown."""
+    record = {"head": head, "uncommitted": uncommitted, "seed": seed, "seconds": seconds,
+              "runs": []}
     problems = []
     for trace, command, returncode, stdout in runs:
         result, provenance = parse_run(stdout)
@@ -61,9 +66,15 @@ def build_record(runs, *, seed: int, seconds: int, head: str | None) -> tuple[di
     return record, problems
 
 
-def git_head() -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+def git(*args: str) -> str | None:
+    """Stdout of `git *args` in the checkout, None when git fails."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def uncommitted_paths(porcelain: str) -> list[str]:
+    """The paths of `git status --porcelain` output ("XY path" lines)."""
+    return [line[3:] for line in porcelain.splitlines()]
 
 
 def main() -> int:
@@ -77,6 +88,7 @@ def main() -> int:
         parser.error("give --pr or --out")
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
 
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")  # before the runs
     runs = []
     for trace in (0, 1):
         command = ["python3", "perfbench/run.py", "--workload", "all", "--seed", str(args.seed),
@@ -86,7 +98,10 @@ def main() -> int:
                               stdout=subprocess.PIPE, text=True)
         sys.stderr.write(proc.stdout)
         runs.append((trace, command, proc.returncode, proc.stdout))
-    record, problems = build_record(runs, seed=args.seed, seconds=args.seconds, head=git_head())
+    record, problems = build_record(
+        runs, seed=args.seed, seconds=args.seconds, head=head and head.strip(),
+        uncommitted=None if status is None else uncommitted_paths(status),
+    )
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     for problem in problems:

@@ -15,16 +15,16 @@ Sweeps reuse each trial's signals across rows. Trials run in chunks of
 _TRIAL_CHUNK (8) where a stacked (8, N) float array fits in _CHUNK_BYTES
 (16 MiB, so up to N = 2^18), and one at a time above. Per chunk, one batched
 call generates all clean signals; a noise sweep also draws each trial's
-standard-normal noise and computes its signal power once, and every noise
-level only rescales that draw. Per input level (clean or one noise SNR) the
-chunk is sampled and interpolated once into a (chunk, N) array of held
-signals. Each (method, modules) row then only mixes that array with its
-module bank, lowpass filters it and scores all its trials in one
-`snr_db_array` call. The array cores are the ones behind `gen_bandlimited`,
-`add_noise`, `sample_train`, `interpolate`, `reconstruct` and `snr_db`, so
-every value is bit-identical to running the trial alone; `run_trial` is the
-engine applied to one trial. The median
-build time of the three headline CSVs is the `latency_p50_ms` that
+standard-normal noise once, and every noise level only rescales that draw
+(`noise_array` derives each signal's power itself). Per input level (clean
+or one noise SNR) the chunk is sampled and interpolated once into a
+(chunk, N) array of held signals. Each (method, modules) row then only mixes
+that array with its module bank, lowpass filters it and scores all its
+trials in one `snr_db_array` call. The array cores are the ones behind
+`gen_bandlimited`, `add_noise`, `sample_train`, `interpolate`, `reconstruct`
+and `snr_db`, so every value is bit-identical to running the trial alone;
+`run_trial` is the engine applied to one trial. The median build time of
+the three headline CSVs is the `latency_p50_ms` that
 `perfbench/run.py --workload headline` reports.
 
 Per-trial SNRs of +inf (exact recovery) are clamped to SNR_CLAMP_DB before
@@ -181,12 +181,11 @@ def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
         seeds = [spec.master_seed + trial for trial in trials[columns]]
         reference = bandlimited_array(spec.n, spec.k_sig, 1.0, seeds)
         if noisy:
-            power = np.mean(reference**2, axis=-1)
             draw = normal_array(spec.n, [seed + _NOISE_SEED_OFFSET for seed in seeds])
         for level, members in cells_at_level.items():
             source = reference
             if level is not None:
-                source = noise_array(reference, power, draw, level)
+                source = noise_array(reference, draw, level)
             held = interpolate_array(sample_array(source, spec.period), kernel)
             for index in members:
                 restored = reconstruct_array(held, banks[cells[index][:2]], spec.k_sig)

@@ -7,7 +7,7 @@ ones, so `modular.passband_energy` counts every k >= 1 term twice). A
 `DesignSystem` is the request (kernel, N, M, band): it checks the grid and
 takes its arrays from that cache only, its matrix a read-only view of the
 first M columns, so no caller can hand it other arrays. `solve_coefficients`
-stores `modular.error_metric` at the solved weights as the residual.
+scores its weights on those arrays: its residual is `modular.error_metric`.
 
 Solved weights depend only on the kernel, not on any signal, so they are
 persisted to a small JSON lookup table and reused. A `CoeffSolution` owns the
@@ -23,14 +23,13 @@ import contextlib
 import json
 import math
 import os
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import InterpKernel
-from .modular import ModuleCoeffs, error_metric, replica_system
+from .modular import ModuleCoeffs, _stacked_error, passband_energy, replica_system
 from .signals import FieldError, Passband, as_int, check_grid
 
 __all__ = [
@@ -125,7 +124,7 @@ def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     coeffs = ModuleCoeffs(system.kernel.period, c)
     return CoeffSolution(
         coeffs=coeffs,
-        residual=error_metric(system.kernel, coeffs, system.n, system.band),
+        residual=passband_energy(_stacked_error(system.matrix, system.target, coeffs)),
         kernel_id=system.kernel.id,
         n=system.n,
         passband=system.band.half_width_bins,
@@ -153,7 +152,7 @@ def store_coeffs(solution: CoeffSolution, path: str | Path) -> None:
     try:
         while True:  # a fresh random name per try, as mkstemp, but not mkstemp's mode 0600
             with contextlib.suppress(FileExistsError):  # "x": mode 0666 less the umask
-                fh = open(path.parent / f"tmp{secrets.token_hex(8)}.tmp", "x")
+                fh = open(path.parent / f"tmp{os.urandom(8).hex()}.tmp", "x")
                 break
         try:
             with fh:  # dumps: json.dump's pure-Python encoder is slower

@@ -200,20 +200,19 @@ def sample_train(x: Signal, period: int) -> Signal:
     return Signal(sample_array(x.samples, period))
 
 
-def noise_array(
-    samples: np.ndarray, power: np.ndarray, draw: np.ndarray, target_snr_db: float
-) -> np.ndarray:
+def noise_array(samples: np.ndarray, draw: np.ndarray, target_snr_db: float) -> np.ndarray:
     """`add_noise` of every signal along the last axis of `samples`.
 
-    `power` is each signal's mean square, `np.mean(samples**2, axis=-1)`, and
-    `draw` holds standard-normal draws (`normal_array`), shaped like
-    `samples`. Neither depends on the SNR, so a caller adding noise at several
-    SNRs computes both once. The one noise rule: input SNR s scales the draw by
-    sqrt(power * 10^(-s/10)), and an s that is not finite, or whose expected
-    noise energy N * power * 10^(-s/10) is not, raises `FieldError` on snr.
+    `draw` holds standard-normal draws (`normal_array`) shaped like `samples`;
+    it does not depend on the SNR, so a caller adding noise at several SNRs
+    draws it once. The one noise rule: input SNR s scales the draw by
+    sqrt(power * 10^(-s/10)), power being each signal's mean square; a
+    zero-power signal raises `ValueError`, and an s that is not finite, or
+    whose noise energy N * power * 10^(-s/10) is not, raises `FieldError` on snr.
     """
     if not math.isfinite(target_snr_db):
         raise FieldError(f"target SNR {target_snr_db} dB is not finite", "snr")
+    power = np.mean(samples**2, axis=-1)
     if np.any(power == 0.0):
         raise ValueError("cannot scale noise against a zero-power signal")
     with np.errstate(over="ignore"):  # an overflowing ratio or energy reads as inf
@@ -226,14 +225,13 @@ def noise_array(
 
 
 def add_noise(x: Signal, target_snr_db: float, seed: int) -> Signal:
-    """Add white Gaussian noise scaled for the requested SNR against x's power.
+    """Add white Gaussian noise at the requested SNR against x's power (`noise_array`).
 
     The noise is full band: it models input-side disturbances injected before
     any sampling. Deterministic per seed.
     """
-    power = np.mean(x.samples**2, axis=-1)
     draw = normal_array(len(x), [seed])[0]
-    return Signal(noise_array(x.samples, power, draw, target_snr_db))
+    return Signal(noise_array(x.samples, draw, target_snr_db))
 
 
 def snr_db_array(

@@ -109,3 +109,24 @@ class TestMain:
         traced = [cmd[cmd.index("--trace") + 1] for cmd in calls if cmd[0] != "git"]
         assert traced == ["0", "1"]
         assert ("error:" in capsys.readouterr().err) == (not correct)
+
+    @pytest.mark.parametrize("git_status, git_code, head, uncommitted", [
+        ("", 0, "abc123", []),
+        (" M ISSUE.md\n?? notes.txt\nR  old.py -> new.py\n", 0, "abc123",
+         ["ISSUE.md", "notes.txt", "old.py -> new.py"]),
+        ("", 128, None, None),  # not a git checkout
+    ], ids=["clean", "dirty", "no-git"])
+    def test_records_the_checkout_state(self, tmp_path, monkeypatch, capsys,
+                                        git_status, git_code, head, uncommitted):
+        def fake_run(cmd, **kwargs):
+            if cmd[0] == "git":
+                stdout = "abc123\n" if cmd[1] == "rev-parse" else git_status
+                return subprocess.CompletedProcess(cmd, git_code, stdout, "")
+            return subprocess.CompletedProcess(cmd, 0, run_stdout(), None)
+
+        monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+        out = tmp_path / "BENCH_ci.json"
+        monkeypatch.setattr(sys, "argv", ["bench_record.py", "--seconds", "1", "--out", str(out)])
+        assert bench_record.main() == 0
+        record = json.loads(out.read_text())
+        assert (record["head"], record["uncommitted"]) == (head, uncommitted)

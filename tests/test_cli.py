@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,3 +761,13 @@ class TestRepeatedCalls:
         args = build_parser.__wrapped__().parse_args([*argv, str(fresh)])
         assert args.run(args) == 0
         assert cached.read_bytes() == fresh.read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_out_hmac(self):
+        # hmac (with _hashlib) costs milliseconds of every process start, and nothing uses it
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        code = "import sys, holdfix.cli; print('hmac' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout.strip() == "False"

@@ -193,6 +193,16 @@ class TestSystemCache:
             assert full[0].shape[1] == max_modules(period)
             assert not (full[0].flags.writeable or full[1].flags.writeable)
 
+    def test_one_cache_read_per_design_solve(self):
+        # the solve scores its weights on the system's arrays, not a second lookup
+        def reads():
+            info = modular._replica_system.cache_info()
+            return info.hits + info.misses
+
+        before = reads()
+        solve_coefficients(assemble_system(sh_kernel(16), 2048, 5, Passband(63)))
+        assert reads() == before + 1
+
     def test_bounded_at_sixteen_systems(self):
         modular._replica_system.cache_clear()
         for period in range(2, 20):

@@ -246,8 +246,7 @@ class TestAddNoise:
     def test_unrepresentable_noise_raises_value_error(self, target):
         x = Signal(np.ones(8))
         for call in (lambda: add_noise(x, target, 0),
-                     lambda: noise_array(x.samples, np.mean(x.samples**2),
-                                         normal_array(8, [0])[0], target)):
+                     lambda: noise_array(x.samples, normal_array(8, [0])[0], target)):
             with pytest.raises(FieldError, match="SNR") as info:
                 call()
             assert info.value.field == "snr"
@@ -279,7 +278,7 @@ class TestAddNoise:
         # == treats -0.0 and 0.0 alike (0.0 + s*z against s*z)
         clean = bandlimited_array(n, Passband(n // 4), 1.0, seeds)
         noise_seeds = [noise_seed + i for i in range(len(seeds))]
-        noisy = noise_array(clean, np.mean(clean**2, axis=-1), normal_array(n, noise_seeds), target)
+        noisy = noise_array(clean, normal_array(n, noise_seeds), target)
         for row, x, seed in zip(noisy, clean, noise_seeds):
             assert np.array_equal(row, add_noise(Signal(x), target, seed).samples)
 
