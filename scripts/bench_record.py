@@ -72,11 +72,6 @@ def git(*args: str) -> str | None:
     return proc.stdout if proc.returncode == 0 else None
 
 
-def uncommitted_paths(porcelain: str) -> list[str]:
-    """The paths of `git status --porcelain` output ("XY path" lines)."""
-    return [line[3:] for line in porcelain.splitlines()]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the checkout root")
@@ -88,7 +83,8 @@ def main() -> int:
         parser.error("give --pr or --out")
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
 
-    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")  # before the runs
+    # before the runs; porcelain lines read "XY path"
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
     runs = []
     for trace in (0, 1):
         command = ["python3", "perfbench/run.py", "--workload", "all", "--seed", str(args.seed),
@@ -100,7 +96,7 @@ def main() -> int:
         runs.append((trace, command, proc.returncode, proc.stdout))
     record, problems = build_record(
         runs, seed=args.seed, seconds=args.seconds, head=head and head.strip(),
-        uncommitted=None if status is None else uncommitted_paths(status),
+        uncommitted=None if status is None else [line[3:] for line in status.splitlines()],
     )
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

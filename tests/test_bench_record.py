@@ -116,7 +116,7 @@ class TestMain:
          ["ISSUE.md", "notes.txt", "old.py -> new.py"]),
         ("", 128, None, None),  # not a git checkout
     ], ids=["clean", "dirty", "no-git"])
-    def test_records_the_checkout_state(self, tmp_path, monkeypatch, capsys,
+    def test_records_the_checkout_state(self, tmp_path, monkeypatch,
                                         git_status, git_code, head, uncommitted):
         def fake_run(cmd, **kwargs):
             if cmd[0] == "git":
