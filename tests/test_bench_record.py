@@ -112,8 +112,8 @@ class TestMain:
 
     @pytest.mark.parametrize("git_status, git_code, head, uncommitted", [
         ("", 0, "abc123", []),
-        (" M ISSUE.md\n?? notes.txt\nR  old.py -> new.py\n", 0, "abc123",
-         ["ISSUE.md", "notes.txt", "old.py -> new.py"]),
+        (" M README.md\n?? notes.txt\nR  old.py -> new.py\n", 0, "abc123",
+         ["README.md", "notes.txt", "old.py -> new.py"]),
         ("", 128, None, None),  # not a git checkout
     ], ids=["clean", "dirty", "no-git"])
     def test_records_the_checkout_state(self, tmp_path, monkeypatch,
