@@ -156,7 +156,7 @@ def passband_energy(stacked: np.ndarray) -> float:
     return float(per_bin[0] + 2.0 * per_bin[1:].sum())
 
 
-def _stacked_error(pairs: np.ndarray, deficit: np.ndarray, coeffs: ModuleCoeffs) -> np.ndarray:
+def stacked_error(pairs: np.ndarray, deficit: np.ndarray, coeffs: ModuleCoeffs) -> np.ndarray:
     """Real-stacked G(k) - 1 on bins 0..K of a replica system: pairs[:, :M] @ c - deficit."""
     return pairs[:, : coeffs.modules] @ np.array(coeffs.c) - deficit
 
@@ -164,12 +164,12 @@ def _stacked_error(pairs: np.ndarray, deficit: np.ndarray, coeffs: ModuleCoeffs)
 def _replica_error(
     kernel: InterpKernel, coeffs: ModuleCoeffs, n: int, band: Passband
 ) -> np.ndarray:
-    """`_stacked_error` of `coeffs` on `kernel`'s `replica_system`."""
+    """`stacked_error` of `coeffs` on `kernel`'s `replica_system`."""
     if coeffs.period != kernel.period:
         raise ValueError(
             f"kernel period {kernel.period} does not match coefficient period {coeffs.period}"
         )
-    return _stacked_error(*replica_system(kernel, n, band), coeffs)
+    return stacked_error(*replica_system(kernel, n, band), coeffs)
 
 
 def passband_gain(
@@ -196,7 +196,7 @@ def error_metric(
 
     The magnitude square makes the metric meaningful for causal kernels,
     whose responses are complex; for zero-phase kernels it reduces to a plain
-    square. It is the `passband_energy` of pairs @ c - deficit, the residual
-    that `optimizer.solve_coefficients` stores, scored on its own system.
+    square. It is the `passband_energy` of `stacked_error`, the residual that
+    `optimizer.solve_coefficients` stores, scored on its system's own arrays.
     """
     return passband_energy(_replica_error(kernel, coeffs, n, band))

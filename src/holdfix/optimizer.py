@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import InterpKernel
-from .modular import ModuleCoeffs, _stacked_error, passband_energy, replica_system
+from .modular import ModuleCoeffs, passband_energy, replica_system, stacked_error
 from .signals import FieldError, Passband, as_int, check_grid
 
 __all__ = [
@@ -124,7 +124,7 @@ def solve_coefficients(system: DesignSystem) -> CoeffSolution:
     coeffs = ModuleCoeffs(system.kernel.period, c)
     return CoeffSolution(
         coeffs=coeffs,
-        residual=passband_energy(_stacked_error(system.matrix, system.target, coeffs)),
+        residual=passband_energy(stacked_error(system.matrix, system.target, coeffs)),
         kernel_id=system.kernel.id,
         n=system.n,
         passband=system.band.half_width_bins,
