@@ -11,21 +11,20 @@ its own. `method_coeffs` is the one place a (method, modules) pair becomes
 weights: comb weights exist only at their own count floor(T/2), so both
 sweeps list comb once, at that count, whatever modules the spec requests.
 
-Sweeps reuse each trial's signals across rows. Trials run in chunks of
-_TRIAL_CHUNK (8) where a stacked (8, N) float array fits in _CHUNK_BYTES
-(16 MiB, so up to N = 2^18), and one at a time above. Per chunk, one batched
-call generates all clean signals; a noise sweep also draws each trial's
-standard-normal noise once, and every noise level only rescales that draw
-(`noise_array` derives each signal's power itself). Per input level (clean
-or one noise SNR) the chunk is sampled and interpolated once into a
-(chunk, N) array of held signals. Each (method, modules) row then only mixes
-that array with its module bank, lowpass filters it and scores all its
-trials in one `snr_db_array` call. The array cores are the ones behind
-`gen_bandlimited`, `add_noise`, `sample_train`, `interpolate`, `reconstruct`
-and `snr_db`, so every value is bit-identical to running the trial alone;
-`run_trial` is the engine applied to one trial. The median build time of
-the three headline CSVs is the `latency_p50_ms` that
-`perfbench/run.py --workload headline` reports.
+One engine returns raw SNRs over the sweep grid of weights (one module bank
+per (method, modules) pair) x input levels (clean or one noise SNR) x trials.
+Trials run in chunks of _TRIAL_CHUNK (8) where a stacked (8, N) float array
+fits in _CHUNK_BYTES (16 MiB, so up to N = 2^18), and one at a time above.
+Per chunk, one batched call generates all clean signals; a noise sweep also
+draws each trial's standard-normal noise once, and every level only rescales
+that draw (`noise_array` derives each signal's power itself). Per level the
+chunk is sampled and interpolated once into a (chunk, N) array, which each
+bank mixes, lowpass filters and scores in one `snr_db_array` call. The array
+cores are the ones behind `gen_bandlimited`, `add_noise`, `sample_train`,
+`interpolate`, `reconstruct` and `snr_db`, so every value is bit-identical to
+running the trial alone. Sweeps reduce the grid to rows in (method, modules,
+level) order and `run_trial` reads a one-cell grid. The median build time of
+the headline CSVs is the `latency_p50_ms` of `perfbench/run.py --workload headline`.
 
 Per-trial SNRs of +inf (exact recovery) are clamped to SNR_CLAMP_DB before
 averaging; finite values above the clamp are clamped too, so no output ever
@@ -159,37 +158,30 @@ def method_coeffs(
     raise ValueError(f"unknown method {method!r}")
 
 
-# One sweep row: (method, modules, input SNR in dB or None for clean).
-_Cell = tuple[str, int, float | None]
-
-
-def _raw_snrs(spec: SweepSpec, cells: list[_Cell], trials: range) -> np.ndarray:
-    """Raw output SNRs in dB (maybe +inf), shape (len(cells), len(trials))."""
+def _raw_snrs(
+    spec: SweepSpec, weights: list[tuple[str, int]], levels: tuple[float | None, ...], trials: range
+) -> np.ndarray:
+    """Raw output SNRs in dB (maybe +inf), shape (len(weights), len(levels), len(trials)), of
+    distinct (method, modules) pairs at input levels (an SNR in dB, or None for clean)."""
     kernel = kernel_from_id(spec.kernel_id, spec.period)
-    banks = {
-        (method, modules): module_bank(method_coeffs(method, kernel, spec.n, modules, spec.k_sig))
-        for method, modules in dict.fromkeys(cell[:2] for cell in cells)
-    }
-    cells_at_level: dict[float | None, list[int]] = {}
-    for index, (_, _, level) in enumerate(cells):
-        cells_at_level.setdefault(level, []).append(index)
-    noisy = any(level is not None for level in cells_at_level)
-    out = np.empty((len(cells), len(trials)))
+    banks = [
+        module_bank(method_coeffs(method, kernel, spec.n, modules, spec.k_sig))
+        for method, modules in weights
+    ]
+    out = np.empty((len(weights), len(levels), len(trials)))
     chunk = _TRIAL_CHUNK if 8 * _TRIAL_CHUNK * spec.n <= _CHUNK_BYTES else 1
     for start in range(0, len(trials), chunk):
         columns = slice(start, start + chunk)
         seeds = [spec.master_seed + trial for trial in trials[columns]]
         reference = bandlimited_array(spec.n, spec.k_sig, 1.0, seeds)
-        if noisy:
+        if any(level is not None for level in levels):
             draw = normal_array(spec.n, [seed + _NOISE_SEED_OFFSET for seed in seeds])
-        for level, members in cells_at_level.items():
-            source = reference
-            if level is not None:
-                source = noise_array(reference, draw, level)
+        for at, level in enumerate(levels):
+            source = reference if level is None else noise_array(reference, draw, level)
             held = interpolate_array(sample_array(source, spec.period), kernel)
-            for index in members:
-                restored = reconstruct_array(held, banks[cells[index][:2]], spec.k_sig)
-                out[index, columns] = snr_db_array(reference, restored, spec.guard_fraction)
+            for row, bank in enumerate(banks):
+                restored = reconstruct_array(held, bank, spec.k_sig)
+                out[row, at, columns] = snr_db_array(reference, restored, spec.guard_fraction)
     return out
 
 
@@ -204,24 +196,23 @@ def run_trial(
 
     Pipeline: band-limited test signal -> optional input noise -> sampling
     train -> kernel interpolation -> module reconstruction -> SNR against
-    the clean signal over the guarded interior. The sweeps compute exactly
-    this value for every trial.
+    the clean signal over the guarded interior: the engine's grid at one
+    pair, one level and one trial, so the sweeps compute exactly this value.
     """
-    cell = (method, modules, input_snr_db)
-    return float(_raw_snrs(spec, [cell], range(trial_index, trial_index + 1))[0, 0])
+    trial = range(trial_index, trial_index + 1)
+    return float(_raw_snrs(spec, [(method, modules)], (input_snr_db,), trial)[0, 0, 0])
 
 
 def _sweep(spec: SweepSpec, levels: tuple[float | None, ...]) -> list[SweepRow]:
     """Rows ordered by (method, modules, level); comb sits at its own count."""
-    cells = [
-        (method, modules, level)
+    weights = [
+        (method, modules)
         for method in sorted(set(spec.methods))
         for modules in (
             [comb_coeffs(spec.period).modules] if method == "comb" else sorted(set(spec.modules))
         )
-        for level in levels
     ]
-    clamped = np.minimum(_raw_snrs(spec, cells, range(spec.trials)), SNR_CLAMP_DB)
+    clamped = np.minimum(_raw_snrs(spec, weights, levels, range(spec.trials)), SNR_CLAMP_DB)
     return [
         SweepRow(
             method=method,
@@ -231,7 +222,8 @@ def _sweep(spec: SweepSpec, levels: tuple[float | None, ...]) -> list[SweepRow]:
             std_output_snr_db=float(snrs.std()),
             trials=spec.trials,
         )
-        for (method, modules, input_snr_db), snrs in zip(cells, clamped)
+        for (method, modules), grid in zip(weights, clamped)
+        for input_snr_db, snrs in zip(levels, grid)
     ]
 
 

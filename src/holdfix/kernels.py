@@ -105,16 +105,22 @@ def nth_order_hold(order: int, period: int) -> InterpKernel:
 
 
 def custom_kernel(path: str | Path, period: int) -> InterpKernel:
-    """Load taps from a text file: whitespace-separated values, then a line
-    `origin=<int>`."""
+    """Load taps from a text file: lines of whitespace-separated values and
+    one line `origin=<int>`. A malformed line raises `ValueError` naming it."""
     origin = None
     values: list[float] = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
-        if stripped.startswith("origin="):
-            origin = int(stripped[len("origin=") :])
-        elif stripped:
-            values.extend(float(token) for token in stripped.split())
+        if stripped.startswith("origin=") and origin is not None:
+            raise ValueError(f"{path}, line {number}: a second 'origin=' line; give only one")
+        try:
+            if stripped.startswith("origin="):
+                origin = int(stripped[len("origin=") :])
+            elif stripped:
+                values.extend(float(token) for token in stripped.split())
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected whitespace-separated taps "
+                             "or one 'origin=<int>' line") from None
     if origin is None:
         raise ValueError(f"{path}: missing 'origin=<int>' line")
     return InterpKernel(np.array(values), origin, period, f"custom:{path}")

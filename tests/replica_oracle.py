@@ -1,10 +1,18 @@
-"""Test oracle for `modular.replica_system`: the replica responses built one
-module at a time, as the optimizer and `passband_gain` once built them."""
+"""Test oracles: `modular.replica_system`'s replica responses built one
+module at a time, as the optimizer and `passband_gain` once built them, and
+a direct-sum DFT."""
 
 import numpy as np
 
 from holdfix.kernels import frequency_response
 from holdfix.modular import max_modules
+
+
+def dft_naive(x):
+    """O(N^2) direct-sum DFT, independent of np.fft."""
+    n = len(x)
+    k = np.arange(n)
+    return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
 
 
 def loop_replicas(kernel, n, bins):

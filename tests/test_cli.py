@@ -774,3 +774,16 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("snrs", ["-4000", "nan"])
+    def test_refuses_overflowing_or_nonfinite_noise_level(self, snrs, tmp_path):
+        # `python -m holdfix.cli` runs the `__main__` guard, which passes main's code to exit
+        out = tmp_path / "bad-snrs.csv"
+        proc = subprocess.run([sys.executable, "-m", "holdfix.cli", "sweep-noise",
+                               f"--snrs={snrs}", "--trials", "2", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "--snrs" in proc.stderr
+        assert not out.exists()

@@ -9,6 +9,8 @@ column carries no tolerance rule and is not compared).
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,17 @@ def test_headline_csv_matches_golden(tmp_path, name, sweep, spec):
     for row, golden in zip(rows, golden_rows):
         assert row[:3] == golden[:3] and row[5] == golden[5], (row, golden)
         assert snr_matches(float(golden[3]), float(row[3])), (row, golden)
+
+
+def test_script_writes_the_headline_csvs(tmp_path):
+    script = ROOT / "scripts" / "run_benchmarks.py"
+    proc = subprocess.run([sys.executable, str(script), "--trials", "2", "--outdir", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in GOLDEN.glob("*.csv"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        golden_header, golden_rows = _rows(GOLDEN / name)
+        header, rows = _rows(tmp_path / name)
+        assert header == golden_header
+        assert [row[:3] for row in rows] == [row[:3] for row in golden_rows]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holdfix.cli import main
 from holdfix.kernels import (
     InterpKernel,
     custom_kernel,
@@ -20,12 +21,7 @@ from holdfix.kernels import (
 )
 from holdfix.signals import Passband, Signal, gen_bandlimited, sample_array, sample_train
 
-
-def dft_naive(x):
-    """O(N^2) direct-sum DFT, independent of np.fft."""
-    n = len(x)
-    k = np.arange(n)
-    return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
+from replica_oracle import dft_naive
 
 
 def roll_oracle(train, kernel):
@@ -294,6 +290,21 @@ class TestKernelFromId:
         path.write_text("1.0 1.0\norigin=0\n")
         with pytest.raises(ValueError):
             custom_kernel(path, 3)
+
+    @pytest.mark.parametrize("text, line, expected", [
+        ("1 1 1 1\norigin = 0\n", 2, "expected whitespace-separated taps"),
+        ("1 1 1 1\norigin=x\n", 2, "expected whitespace-separated taps"),
+        ("1,1 1 1\norigin=0\n", 1, "expected whitespace-separated taps"),
+        ("origin=0\n1 1 1 1\n\norigin=0\n", 4, "a second 'origin=' line"),
+    ], ids=["spaced-origin", "non-integer-origin", "comma-tap", "second-origin"])
+    def test_malformed_custom_file_names_file_and_line(self, tmp_path, capsys, text, line,
+                                                       expected):
+        path = tmp_path / "k.txt"
+        path.write_text(text)
+        assert main(["show-kernel", "--kernel", f"custom:{path}", "--period", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --kernel: {path}, line {line}: {expected}")
+        assert "convert" not in err and "literal" not in err
 
 
 class TestInterpolate:

@@ -32,13 +32,7 @@ from holdfix.optimizer import (
 )
 from holdfix.signals import FieldError, Passband, check_grid, max_passband
 
-from replica_oracle import loop_system
-
-
-def dft_naive(x):
-    n = len(x)
-    k = np.arange(n)
-    return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
+from replica_oracle import dft_naive, loop_system
 
 
 GRID = [
