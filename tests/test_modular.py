@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -236,49 +236,54 @@ def diagonal_cases(draw):
     return kernel, n, band, tuple(weights), x
 
 
+def check_gain_synthesis(case):
+    """FFT(reconstruct(interpolate(train))) = T G(k) FFT(train) on bins -K..K, and 0
+    elsewhere, for any input x, band-limited or not.
+
+    Why: DFT(interpolate(train)) = H(k) DFT(train), and DFT(train) repeats every
+    N/T bins, so the module bank, which adds copies shifted by +-jN/T weighted
+    by c_j, turns bin k into sum_{j=-M..M} c_|j| H(k - jN/T) DFT(train)(k) =
+    T G(k) DFT(train)(k) (c_0 = 1); the lowpass then keeps bins -K..K.
+
+    Tolerance: a bin of a DFT is at most the l1 norm of its signal, and
+    `interpolate` grows the l1 norm by at most ||taps||_1, the bank by at most
+    max|bank| <= 1 + 2 sum|c_j|; likewise |T G(k)| <= ||taps||_1 (1 + 2 sum|c_j|)
+    and |FFT(train)(k)| <= ||train||_1. So every bin on either side is at most
+    B = ||taps||_1 (1 + 2 sum|c_j|) ||train||_1. Each stage rounds at about eps
+    of the magnitudes it sums, and the FFTs (the kernel response behind G, the
+    lowpass's rfft and irfft, the FFT here) do so over log2(N) butterfly
+    levels, so the error per bin is of order C eps log2(N) B. This is a
+    rounding model, not a worst-case bound. Over the grids drawn here the
+    largest error found, by hypothesis targeting and by single-sample inputs
+    on every (T, N, K), is 0.95 of the bound at C = 1 (T = 1, a bare lowpass),
+    so C = 2. N keeps prime factors <= 31: at a large prime N the FFT switches
+    to Bluestein's algorithm and the error grows past log2(N) (4.7 at N = 193).
+    """
+    kernel, n, band, weights, x = case
+    period, k_max = kernel.period, band.half_width_bins
+    coeffs = ModuleCoeffs(period, weights)
+    train = sample_train(Signal(x), period)
+    restored = reconstruct(interpolate(train, kernel), coeffs, band)
+
+    bins = np.arange(-k_max, k_max + 1) % n
+    expected = np.zeros(n, dtype=complex)
+    gain = passband_gain(kernel, coeffs, n, band)
+    expected[bins] = period * gain * np.fft.fft(train.samples)[bins]
+    error = np.max(np.abs(np.fft.fft(restored.samples) - expected))
+    spread = 1.0 + 2.0 * sum(abs(w) for w in weights)
+    mass = np.abs(kernel.taps).sum() * spread * np.abs(train.samples).sum()
+    assert error <= 2.0 * np.finfo(float).eps * np.log2(n) * mass
+
+
 class TestFrequencyTimeEquivalence:
+    @pytest.mark.parametrize("kernel_id, period", [("sh", 4), ("li", 4), ("hold:2", 8)])
+    def test_time_domain_matches_gain_synthesis(self, kernel_id, period):
+        check_gain_synthesis(_diagonal_example(kernel_id, period))
+
     @settings(deadline=None, max_examples=200)
     @given(case=diagonal_cases())
-    @example(case=_diagonal_example("sh", 4))
-    @example(case=_diagonal_example("li", 4))
-    @example(case=_diagonal_example("hold:2", 8))
-    def test_time_domain_matches_gain_synthesis(self, case):
-        """FFT(reconstruct(interpolate(train))) = T G(k) FFT(train) on bins -K..K, and 0
-        elsewhere, for any input x, band-limited or not.
-
-        Why: DFT(interpolate(train)) = H(k) DFT(train), and DFT(train) repeats every
-        N/T bins, so the module bank, which adds copies shifted by +-jN/T weighted
-        by c_j, turns bin k into sum_{j=-M..M} c_|j| H(k - jN/T) DFT(train)(k) =
-        T G(k) DFT(train)(k) (c_0 = 1); the lowpass then keeps bins -K..K.
-
-        Tolerance: a bin of a DFT is at most the l1 norm of its signal, and
-        `interpolate` grows the l1 norm by at most ||taps||_1, the bank by at most
-        max|bank| <= 1 + 2 sum|c_j|; likewise |T G(k)| <= ||taps||_1 (1 + 2 sum|c_j|)
-        and |FFT(train)(k)| <= ||train||_1. So every bin on either side is at most
-        B = ||taps||_1 (1 + 2 sum|c_j|) ||train||_1. Each stage rounds at about eps
-        of the magnitudes it sums, and the FFTs (the kernel response behind G, the
-        lowpass's rfft and irfft, the FFT here) do so over log2(N) butterfly
-        levels, so the error per bin is of order C eps log2(N) B. This is a
-        rounding model, not a worst-case bound. Over the grids drawn here the
-        largest error found, by hypothesis targeting and by single-sample inputs
-        on every (T, N, K), is 0.95 of the bound at C = 1 (T = 1, a bare lowpass),
-        so C = 2. N keeps prime factors <= 31: at a large prime N the FFT switches
-        to Bluestein's algorithm and the error grows past log2(N) (4.7 at N = 193).
-        """
-        kernel, n, band, weights, x = case
-        period, k_max = kernel.period, band.half_width_bins
-        coeffs = ModuleCoeffs(period, weights)
-        train = sample_train(Signal(x), period)
-        restored = reconstruct(interpolate(train, kernel), coeffs, band)
-
-        bins = np.arange(-k_max, k_max + 1) % n
-        expected = np.zeros(n, dtype=complex)
-        gain = passband_gain(kernel, coeffs, n, band)
-        expected[bins] = period * gain * np.fft.fft(train.samples)[bins]
-        error = np.max(np.abs(np.fft.fft(restored.samples) - expected))
-        spread = 1.0 + 2.0 * sum(abs(w) for w in weights)
-        mass = np.abs(kernel.taps).sum() * spread * np.abs(train.samples).sum()
-        assert error <= 2.0 * np.finfo(float).eps * np.log2(n) * mass
+    def test_time_domain_matches_gain_synthesis_for_any_input(self, case):
+        check_gain_synthesis(case)
 
 
 def negative_tap_kernel(period):
