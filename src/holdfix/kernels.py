@@ -105,11 +105,12 @@ def nth_order_hold(order: int, period: int) -> InterpKernel:
 
 
 def custom_kernel(path: str | Path, period: int) -> InterpKernel:
-    """Load taps from a text file: lines of whitespace-separated values and
-    one line `origin=<int>`. A malformed line raises `ValueError` naming it."""
+    """Load taps from a UTF-8 text file: lines of whitespace-separated values and one
+    line `origin=<int>`. A refusal is a `ValueError` naming the file and any bad line."""
     origin = None
     values: list[float] = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8", errors="replace")  # not UTF-8: a bad line
+    for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("origin=") and origin is not None:
             raise ValueError(f"{path}, line {number}: a second 'origin=' line; give only one")
@@ -123,7 +124,10 @@ def custom_kernel(path: str | Path, period: int) -> InterpKernel:
                              "or one 'origin=<int>' line") from None
     if origin is None:
         raise ValueError(f"{path}: missing 'origin=<int>' line")
-    return InterpKernel(np.array(values), origin, period, f"custom:{path}")
+    try:
+        return InterpKernel(np.array(values), origin, period, f"custom:{path}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def kernel_from_id(kernel_id: str, period: int) -> InterpKernel:

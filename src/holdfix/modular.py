@@ -129,6 +129,7 @@ def _replica_system(
     # bin 0, the one self-conjugate bin below N/2, is exactly real: zero the FFT's rounding
     for array in system:
         array[k_max + 1] = 0.0
+        array[0] *= math.sqrt(0.5)  # the row weight `replica_system` states
         array.setflags(write=False)
     return system
 
@@ -140,9 +141,11 @@ def replica_system(
 
     Column j-1 of pairs holds (H(k - j N/T) + H(k + j N/T))/T for
     j = 1..floor(T/2), deficit holds 1 - H(k)/T; rows 0..K are the real
-    parts, rows K+1..2K+1 the imaginary parts. A pair is (1/T) times the DFT
-    of taps * 2 cos(2 pi j t / T); for even T and j = T/2 both shifts hit one
-    bin and the pair doubles, which is why the comb weights halve that term.
+    parts, rows K+1..2K+1 the imaginary parts. Row 0 is weighted by sqrt(1/2):
+    the replica-sum error counts bin 0 once and bins 1..K twice (as k and -k),
+    so least squares on these rows minimizes half of it. A pair is (1/T) times
+    the DFT of taps * 2 cos(2 pi j t / T); for even T and j = T/2 both shifts
+    hit one bin and the pair doubles, which is why the comb weights halve it.
     """
     check_grid(n, kernel.period, band=band)
     return _replica_system(
@@ -151,9 +154,9 @@ def replica_system(
 
 
 def passband_energy(stacked: np.ndarray) -> float:
-    """Full-passband energy of a real-stacked vector: bin 0 once, bins 1..K twice."""
-    per_bin = (stacked.reshape(2, -1) ** 2).sum(axis=0)  # |bin k|^2, k = 0..K
-    return float(per_bin[0] + 2.0 * per_bin[1:].sum())
+    """Full-passband energy of a real-stacked vector weighted as `replica_system`'s rows."""
+    per_bin = (stacked.reshape(2, -1) ** 2).sum(axis=0)  # |bin k|^2, k = 0..K, bin 0 halved
+    return float(2.0 * (per_bin[0] + per_bin[1:].sum()))
 
 
 def stacked_error(pairs: np.ndarray, deficit: np.ndarray, coeffs: ModuleCoeffs) -> np.ndarray:
@@ -185,6 +188,7 @@ def passband_gain(
     X_hat(k) = G(k) X(k), so unit gain on the band means perfect recovery.
     """
     error = _replica_error(kernel, coeffs, n, band).reshape(2, -1)
+    error[0, 0] /= math.sqrt(0.5)  # undo the weight on row 0, the real part of bin 0
     gain = 1.0 + (error[0] + 1j * error[1])
     return np.concatenate([np.conj(gain[:0:-1]), gain])
 

@@ -1,9 +1,9 @@
 """Least-squares design of module weights from kernel replica responses.
 
 The design system is `modular.replica_system`: the real-stacked replica
-pairs and unity-gain deficit on bins 0..K, whose least-squares solution
-minimizes the replica-sum error (negative bins are conjugates of positive
-ones, so `modular.passband_energy` counts every k >= 1 term twice). A
+pairs and unity-gain deficit on bins 0..K, bin 0's row weighted by sqrt(1/2),
+whose least-squares solution minimizes the replica-sum error (which counts
+bin 0 once and each k >= 1 twice, as k and -k: `modular.passband_energy`). A
 `DesignSystem` is the request (kernel, N, M, band): it checks the grid and
 takes its arrays from that cache only, its matrix a read-only view of the
 first M columns, so no caller can hand it other arrays. `solve_coefficients`
@@ -106,9 +106,9 @@ def assemble_system(
 ) -> DesignSystem:
     """Build the stacked system whose LS solution minimizes the replica error.
 
-    Minimizing ||matrix @ c - target||^2 over real c minimizes
-    sum_{k=0..K} |row_k . c - beta_k|^2 with beta_k = 1 - H(k)/period. The
-    arrays are views of the cached `modular.replica_system`, not copies.
+    Minimizing ||matrix @ c - target||^2 over real c minimizes half the
+    replica-sum error, |e_0|^2 / 2 + sum_{k=1..K} |e_k|^2 with e_k = G(k) - 1.
+    The arrays are views of the cached `modular.replica_system`, not copies.
     """
     return DesignSystem(kernel, n, modules, band)
 

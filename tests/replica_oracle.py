@@ -2,6 +2,8 @@
 module at a time, as the optimizer and `passband_gain` once built them, and
 a direct-sum DFT."""
 
+import math
+
 import numpy as np
 
 from holdfix.kernels import frequency_response
@@ -37,7 +39,11 @@ def loop_replicas(kernel, n, bins):
 
 def loop_system(kernel, n, k_max, modules):
     """The real-stacked (matrix, target) that `assemble_system` gives: the first
-    M pairs and the deficit 1 - H(k)/T on bins 0..K, real rows over imaginary."""
+    M pairs and the deficit 1 - H(k)/T on bins 0..K, real rows over imaginary,
+    with row 0 (bin 0, counted once where bins 1..K count twice) weighted by sqrt(1/2)."""
     base, pairs = loop_replicas(kernel, n, np.arange(k_max + 1))
     pairs, deficit = pairs[:, :modules], 1.0 - base
-    return np.vstack([pairs.real, pairs.imag]), np.concatenate([deficit.real, deficit.imag])
+    system = np.vstack([pairs.real, pairs.imag]), np.concatenate([deficit.real, deficit.imag])
+    for array in system:
+        array[0] *= math.sqrt(0.5)
+    return system

@@ -70,15 +70,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "maximum 2" in err and "--modules" in err
 
-    @pytest.mark.parametrize("taps, modules", [("1e300 -1e300 16", "8"),
-                                               ("1e308 -1e308 16", "2")])
-    def test_overflowing_kernel_exits_2_without_file(self, taps, modules, tmp_path, capsys):
+    @pytest.mark.parametrize("taps, modules, command", [
+        ("1e300 -1e300 16", "8", "solve"),
+        ("1e308 -1e308 16", "2", "solve"),
+        ("1e300 -1e300 16", "1..8", "sweep-modules"),
+    ], ids=["1e300 -1e300 16-8", "1e308 -1e308 16-2", "sweep-modules"])
+    def test_overflowing_kernel_exits_2_without_file(self, taps, modules, command, tmp_path,
+                                                     capsys):
         kernel_file = tmp_path / "taps.txt"
         kernel_file.write_text(f"{taps}\norigin=0\n")
         out = tmp_path / "c.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli("solve", "--kernel", f"custom:{kernel_file}", "--period", "16",
+            code = run_cli(command, "--kernel", f"custom:{kernel_file}", "--period", "16",
                            "--modules", modules, "--length", "256", "--out", str(out))
         assert code == 2
         err = capsys.readouterr().err
@@ -97,7 +101,8 @@ class TestSolve:
                            "--modules", modules, "--length", "512", "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: --kernel: kernel taps' absolute sum is not finite or exceeds 7.21e+07\n"
+            f"error: --kernel: {kernel_file}: "
+            "kernel taps' absolute sum is not finite or exceeds 7.21e+07\n"
         )
         assert not out.exists()
 
@@ -158,20 +163,22 @@ class TestReconstruct:
         value = out.split()[-1]
         assert value == "inf" or float(value) >= 200.0
 
-    def test_comb_accepts_its_own_count(self, capsys):
+    @pytest.mark.parametrize("kernel", ["sh", "li"])
+    def test_comb_accepts_its_own_count(self, kernel, capsys):
         # any other --modules exits 2 (see ERROR_TABLE); floor(8/2) is the default
-        grid = ("--kernel", "sh", "--period", "8", "--length", "512", "--method", "comb")
+        grid = ("--kernel", kernel, "--period", "8", "--length", "512", "--method", "comb")
         assert run_cli("reconstruct", *grid) == 0
         default = capsys.readouterr().out
         assert run_cli("reconstruct", *grid, "--modules", "4") == 0
         assert capsys.readouterr().out == default
 
-    def test_coeff_file_roundtrip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kernel", ["sh", "li"])
+    def test_coeff_file_roundtrip(self, kernel, tmp_path, capsys):
         out = tmp_path / "c.json"
-        run_cli("solve", "--kernel", "sh", "--period", "8", "--modules", "4",
+        run_cli("solve", "--kernel", kernel, "--period", "8", "--modules", "4",
                 "--length", "512", "--out", str(out))
         capsys.readouterr()
-        code = run_cli("reconstruct", "--kernel", "sh", "--period", "8",
+        code = run_cli("reconstruct", "--kernel", kernel, "--period", "8",
                        "--length", "512", "--method", "optimized",
                        "--coeff-file", str(out), "--seed", "2")
         assert code == 0
@@ -342,15 +349,20 @@ class TestSweeps:
         assert code == 2
         assert "maximum 2" in capsys.readouterr().err
 
-    def test_noise_sweep(self, tmp_path):
+    @pytest.mark.parametrize("modules, methods, second", [
+        ("2", "classical,optimized", "optimized,2,"),
+        ("1", "classical,comb", "comb,2,"),  # comb runs at its own count floor(4/2)
+    ], ids=["optimized", "comb"])
+    def test_noise_sweep(self, modules, methods, second, tmp_path):
         out = tmp_path / "n.csv"
         code = run_cli("sweep-noise", "--kernel", "sh", "--period", "4",
-                       "--length", "256", "--modules", "2", "--snrs", "0,30",
-                       "--trials", "2", "--out", str(out))
+                       "--length", "256", "--modules", modules, "--snrs", "0,30",
+                       "--methods", methods, "--trials", "2", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5  # header + 2 methods x 2 SNRs
-        assert lines[1].startswith("classical,2,0.000000,")
+        assert lines[1].startswith(f"classical,{modules},0.000000,")
+        assert lines[3].startswith(second) and lines[4].startswith(second)
 
     def test_bad_methods_flag(self, tmp_path, capsys):
         code = run_cli("sweep-modules", "--kernel", "sh", "--period", "4",

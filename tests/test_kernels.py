@@ -296,15 +296,19 @@ class TestKernelFromId:
         ("1 1 1 1\norigin=x\n", 2, "expected whitespace-separated taps"),
         ("1,1 1 1\norigin=0\n", 1, "expected whitespace-separated taps"),
         ("origin=0\n1 1 1 1\n\norigin=0\n", 4, "a second 'origin=' line"),
-    ], ids=["spaced-origin", "non-integer-origin", "comma-tap", "second-origin"])
+        ("\udcff1 1 1 1\norigin=0\n", 1, "expected whitespace-separated taps"),  # byte 0xff
+        ("1 1 1\norigin=0\n", None, "kernel taps sum to 3.0, expected the hold period 4"),
+    ], ids=["spaced-origin", "non-integer-origin", "comma-tap", "second-origin", "not-utf-8",
+            "bad-sum"])
     def test_malformed_custom_file_names_file_and_line(self, tmp_path, capsys, text, line,
                                                        expected):
         path = tmp_path / "k.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         assert main(["show-kernel", "--kernel", f"custom:{path}", "--period", "4"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --kernel: {path}, line {line}: {expected}")
-        assert "convert" not in err and "literal" not in err
+        where = str(path) if line is None else f"{path}, line {line}"
+        assert err.startswith(f"error: --kernel: {where}: {expected}")
+        assert "convert" not in err and "literal" not in err and "codec" not in err
 
 
 class TestInterpolate:

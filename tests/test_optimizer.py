@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holdfix import modular
@@ -204,6 +204,25 @@ class TestSystemCache:
         assert modular._replica_system.cache_info().currsize == 16
 
 
+@st.composite
+def custom_design_cases(draw):
+    """(kernel, N, M): drawn taps scaled to sum to T at a drawn origin, with
+    Re H(jN/T) != 0 for some module j <= M, so bin 0's row of the design
+    system is not zero, as it is for every built-in hold. The system is well
+    conditioned, so lstsq cuts no singular value and rounding stays far below
+    the effect of a weight step."""
+    period = draw(st.sampled_from([3, 4, 8]))
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3 * period)))
+    assume(raw.sum() > 0.25)
+    taps = raw * (period / raw.sum())
+    kernel = InterpKernel(taps, draw(st.integers(0, taps.size - 1)), period, "custom:drawn")
+    n = period * draw(st.sampled_from([8, 16, 32]))
+    modules = draw(st.integers(1, max_modules(period)))
+    matrix = assemble_system(kernel, n, modules, Passband(max_passband(n, period))).matrix
+    assume(np.abs(matrix[0]).max() > 1e-3 and np.linalg.cond(matrix) < 1e6)
+    return kernel, n, modules
+
+
 class TestSolve:
     def test_sh2_recovers_comb_weight(self):
         solution = solve_coefficients(assemble_system(sh_kernel(2), 64, 1, Passband(15)))
@@ -282,6 +301,21 @@ class TestSolve:
                 delta *= 1e-3 / np.linalg.norm(delta)
                 nearby = ModuleCoeffs(period, tuple(np.asarray(solved.c) + delta))
                 assert error_metric(kernel, nearby, n, band) >= base - 1e-15
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=custom_design_cases())
+    @example(case=(InterpKernel([0.5, 2.0, 1.0, 1.5, 3.0], 1, 8, "custom:drawn"), 64, 3))
+    def test_custom_kernel_solve_minimizes_its_stored_residual(self, case):
+        # bin 0 is counted once and bins 1..K twice, in the solve as in the metric
+        kernel, n, modules = case
+        band = Passband(max_passband(n, kernel.period))
+        solution = solve_coefficients(assemble_system(kernel, n, modules, band))
+        for index in range(modules):
+            for step in (-1e-6, 1e-6):
+                weights = list(solution.coeffs.c)
+                weights[index] += step
+                nearby = error_metric(kernel, ModuleCoeffs(kernel.period, weights), n, band)
+                assert nearby >= solution.residual * (1.0 - 1e-13)
 
     def test_unit_weights_reproduce_classical(self):
         solved = solve_coefficients(assemble_system(sh_kernel(8), 256, 3, Passband(15)))
