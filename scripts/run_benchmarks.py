@@ -1,48 +1,50 @@
 #!/usr/bin/env python3
 """Produce the three headline experiment CSVs.
 
-Runs the clean-signal module-count sweeps for the sample-and-hold and linear
-interpolators, plus the noise-robustness sweep for sample-and-hold at five
-modules, and writes one CSV per experiment into --outdir.
+Runs three bare `holdfix` sweeps, whose flag defaults are the headline setup
+(length 2048, period 16, passband 63, classical and optimized weights): the
+clean-signal module-count sweeps over 1..8 modules for the sample-and-hold and
+linear interpolators, and the noise-robustness sweep over 0..80 dB for
+sample-and-hold at five modules. Writes one CSV per experiment into --outdir.
+
+Exits with the first non-zero `holdfix` exit code and writes no later CSV, so
+a bad --trials or --seed exits 2 naming the flag; exits 1 when --outdir
+cannot be created.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from holdfix.bench import SweepSpec, run_module_sweep, run_noise_sweep, write_csv
-from holdfix.signals import Passband
+from holdfix import cli
+
+# (CSV file name, holdfix arguments) of each headline experiment.
+EXPERIMENTS = (
+    ("modules-sh.csv", ("sweep-modules", "--kernel", "sh")),
+    ("modules-li.csv", ("sweep-modules", "--kernel", "li")),
+    ("noise-sh.csv", ("sweep-noise", "--kernel", "sh")),
+)
 
 
-def experiments(trials: int = 100, seed: int = 0):
-    """(CSV file name, sweep function, spec) of each headline experiment."""
-    base = dict(period=16, n=2048, k_sig=Passband(63),
-                methods=("classical", "optimized"), trials=trials,
-                master_seed=seed)
-    out = [
-        (f"modules-{kernel_id}.csv", run_module_sweep,
-         SweepSpec(kernel_id=kernel_id, modules=tuple(range(1, 9)), **base))
-        for kernel_id in ("sh", "li")
-    ]
-    noise_spec = SweepSpec(kernel_id="sh", modules=(5,),
-                           noise_snrs_db=tuple(float(s) for s in range(0, 90, 10)),
-                           **base)
-    out.append(("noise-sh.csv", run_noise_sweep, noise_spec))
-    return out
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    args = parser.parse_args(argv)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --outdir: {exc}", file=sys.stderr)
+        return 1
 
-    for name, sweep, spec in experiments(args.trials, args.seed):
-        path = args.outdir / name
-        write_csv(sweep(spec), path)
-        print(f"wrote {path}")
+    for name, command in EXPERIMENTS:
+        code = cli.main([*command, "--trials", str(args.trials), "--seed", str(args.seed),
+                         "--out", str(args.outdir / name)])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

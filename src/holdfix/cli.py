@@ -5,10 +5,12 @@ errors and on a coefficient file that does not fit the flags. The library
 validates its inputs and raises `FieldError` naming the field at fault;
 `main` maps each field to its flag in one table, `_FLAGS`, so every such
 message names the flag. The parser is built once per process, on the first
-`main` call, and holds no per-call state. Flag defaults mirror the benchmark
-defaults (length 2048, period 16, trials 100, guard 0.10, passband
-length/(2*period) - 1), so a bare `holdfix sweep-modules --kernel sh` runs
-the headline module-count experiment.
+`main` call, and holds no per-call state. The flag defaults are the headline
+setup (length 2048, period 16, trials 100, guard 0.10, passband
+length/(2*period) - 1, classical and optimized weights):
+`scripts/run_benchmarks.py` writes the headline CSVs by running bare
+`sweep-modules --kernel sh`, `sweep-modules --kernel li` and
+`sweep-noise --kernel sh`, and `tests/test_golden.py` pins those defaults.
 """
 
 from __future__ import annotations

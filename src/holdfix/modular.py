@@ -62,7 +62,13 @@ class ModuleCoeffs:
 
     def __post_init__(self):
         object.__setattr__(self, "period", as_int(self.period, "T"))
-        weights = tuple(float(v) for v in self.c)
+        try:  # a string is a sequence too, but of characters, not weights
+            if isinstance(self.c, (str, bytes, bytearray)):
+                raise TypeError
+            weights = tuple(float(v) for v in self.c)
+        except (TypeError, ValueError):
+            raise FieldError(f"module weights must be a sequence of real numbers, got {self.c!r}",
+                             "coefficients") from None
         check_grid(period=self.period, modules=len(weights))
         if not all(math.isfinite(v) for v in weights):
             raise FieldError("module weights must all be finite", "coefficients")

@@ -115,8 +115,11 @@ def check_grid(
     the period divides N; the passband half-width is at most N/2, or given a
     period `max_passband(N, T)`, below the sampling Nyquist bin; a kernel of
     `taps` taps fits in N; the SNR guard fraction dropped at each end lies in
-    [0, 0.5). Parts left at None are not checked, but a band or taps need N.
+    [0, 0.5). A band that is not a `Passband` is refused on K. Parts left at
+    None are not checked, but a band or taps need N.
     """
+    if band is not None and not isinstance(band, Passband):
+        raise FieldError(f"passband must be a Passband, got {band!r}", "K")
     if n is not None or band is not None or taps is not None:
         n = as_int(n, "N", 1, "length")
     if period is not None:

@@ -1,5 +1,9 @@
 """Headline CSVs against the committed golden copies (tests/golden/).
 
+The CSVs are regenerated as `scripts/run_benchmarks.py` writes them: bare
+`holdfix` sweeps from its `EXPERIMENTS` table, so the goldens also pin the
+CLI flag defaults that make those sweeps the headline setup.
+
 The goldens were written at master seed 0 by the per-trial implementation
 that predates the trial-reuse sweep engine. Rule: where the golden mean
 output SNR is below 250 dB the regenerated value must be within 1e-6 dB;
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from holdfix.bench import write_csv
+from holdfix import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -43,14 +47,13 @@ def snr_matches(golden: float, value: float) -> bool:
     return abs(value - golden) <= TOL_DB
 
 
-EXPERIMENTS = _load_script().experiments(100, 0)
+EXPERIMENTS = _load_script().EXPERIMENTS
 
 
-@pytest.mark.parametrize("name, sweep, spec", EXPERIMENTS,
-                         ids=[name for name, _, _ in EXPERIMENTS])
-def test_headline_csv_matches_golden(tmp_path, name, sweep, spec):
+@pytest.mark.parametrize("name, command", EXPERIMENTS, ids=[name for name, _ in EXPERIMENTS])
+def test_headline_csv_matches_golden(tmp_path, name, command):
     out = tmp_path / name
-    write_csv(sweep(spec), out)
+    assert cli.main([*command, "--trials", "100", "--seed", "0", "--out", str(out)]) == 0
     golden_header, golden_rows = _rows(GOLDEN / name)
     header, rows = _rows(out)
     assert header == golden_header
@@ -60,10 +63,13 @@ def test_headline_csv_matches_golden(tmp_path, name, sweep, spec):
         assert snr_matches(float(golden[3]), float(row[3])), (row, golden)
 
 
-def test_script_writes_the_headline_csvs(tmp_path):
+def _run_script(*args):
     script = ROOT / "scripts" / "run_benchmarks.py"
-    proc = subprocess.run([sys.executable, str(script), "--trials", "2", "--outdir", str(tmp_path)],
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
+
+
+def test_script_writes_the_headline_csvs(tmp_path):
+    proc = _run_script("--trials", "2", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     names = sorted(path.name for path in GOLDEN.glob("*.csv"))
     assert sorted(path.name for path in tmp_path.iterdir()) == names
@@ -72,3 +78,17 @@ def test_script_writes_the_headline_csvs(tmp_path):
         header, rows = _rows(tmp_path / name)
         assert header == golden_header
         assert [row[:3] for row in rows] == [row[:3] for row in golden_rows]
+
+
+@pytest.mark.parametrize("outdir, flags, code, prefix", [
+    ("out", ["--trials", "0"], 2, "error: --trials: "),
+    ("out", ["--seed", "-1"], 2, "error: --seed: "),
+    ("taken", [], 1, "error: "),  # names a file, not a directory
+], ids=["trials-0", "seed--1", "outdir-is-a-file"])
+def test_script_refuses_bad_flags_without_csvs(tmp_path, outdir, flags, code, prefix):
+    (tmp_path / "taken").write_text("")
+    proc = _run_script("--outdir", str(tmp_path / outdir), *flags)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))

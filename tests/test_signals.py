@@ -419,6 +419,15 @@ def _spec(**overrides):
     pytest.param(lambda: InterpKernel(np.ones(4), 0.5, 4, "x"), "origin",
                  id="InterpKernel-origin-0.5"),
     pytest.param(lambda: kernel_from_id("sh", 16.0), "T", id="kernel_from_id-period-16.0"),
+    # a band is a Passband, never a bare half-width
+    pytest.param(lambda: _spec(k_sig=63), "K", id="SweepSpec-k_sig-63"),
+    pytest.param(lambda: assemble_system(sh_kernel(4), 64, 1, 7), "K", id="assemble_system-band-7"),
+    pytest.param(lambda: passband_gain(sh_kernel(4), comb_coeffs(4), 64, 7), "K",
+                 id="passband_gain-band-7"),
+    pytest.param(lambda: ideal_lowpass(Signal(np.ones(8)), 3), "K", id="ideal_lowpass-band-3"),
+    # weights are a sequence of reals: not text, a scalar, None or complex
+    *(pytest.param(lambda c=c: ModuleCoeffs(16, c), "coefficients", id=f"ModuleCoeffs-{c!r}")
+      for c in ("12", b"12", 1.0, None, [1 + 2j], [1.0, "x"])),
 ])
 def test_validation_errors_name_their_field(call, field):
     with pytest.raises(FieldError) as info:
